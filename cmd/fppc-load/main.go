@@ -501,23 +501,9 @@ func runFleetMix(client *http.Client, base string, n int, rate float64) (mixResu
 // degradeBusiest injects seeded wear into the chip hosting the most
 // jobs and returns its id.
 func degradeBusiest(client *http.Client, base string) (string, error) {
-	resp, err := client.Get(base + "/fleet/chips")
+	victim, err := busiestChip(client, base)
 	if err != nil {
 		return "", err
-	}
-	defer resp.Body.Close()
-	var chips []fleet.ChipStatus
-	if err := json.NewDecoder(resp.Body).Decode(&chips); err != nil {
-		return "", err
-	}
-	victim, best := "", -1
-	for _, c := range chips {
-		if n := len(c.Jobs); n > best {
-			best, victim = n, c.ID
-		}
-	}
-	if victim == "" {
-		return "", fmt.Errorf("no chips in the fleet")
 	}
 	body, _ := json.Marshal(service.FleetDegradeRequest{Chip: victim, Seed: 7})
 	dr, err := client.Post(base+"/debug/fleet/degrade", "application/json", bytes.NewReader(body))
@@ -531,33 +517,65 @@ func degradeBusiest(client *http.Client, base string) (string, error) {
 	return victim, nil
 }
 
-// fetchJobs lists the fleet's jobs.
-func fetchJobs(client *http.Client, base string) ([]fleet.JobStatus, error) {
-	resp, err := client.Get(base + "/fleet/jobs")
+// busiestChip returns the chip hosting the most jobs. Placement is
+// asynchronous, so it polls GET /fleet/chips until some chip hosts a
+// job: picking before the reconciler has placed anything would wear an
+// empty chip and force no migration.
+func busiestChip(client *http.Client, base string) (string, error) {
+	deadline := time.Now().Add(placementWait)
+	for {
+		var chips []fleet.ChipStatus
+		if err := getJSON(client, base, "/fleet/chips", &chips); err != nil {
+			return "", err
+		}
+		if len(chips) == 0 {
+			return "", fmt.Errorf("no chips in the fleet")
+		}
+		victim, best := "", 0
+		for _, c := range chips {
+			if n := len(c.Jobs); n > best {
+				best, victim = n, c.ID
+			}
+		}
+		if best > 0 {
+			return victim, nil
+		}
+		if time.Now().After(deadline) {
+			return "", fmt.Errorf("no chip hosts a job after waiting %s", placementWait)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// placementWait bounds how long busiestChip waits for the reconciler to
+// place a first job.
+const placementWait = time.Minute
+
+// getJSON decodes the reply of GET base+path, a fleet endpoint, into v.
+func getJSON(client *http.Client, base, path string, v any) error {
+	resp, err := client.Get(base + path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /fleet/jobs: HTTP %d (does the server run with -fleet?)", resp.StatusCode)
+		return fmt.Errorf("GET %s: HTTP %d (does the server run with -fleet?)", path, resp.StatusCode)
 	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// fetchJobs lists the fleet's jobs.
+func fetchJobs(client *http.Client, base string) ([]fleet.JobStatus, error) {
 	var jobs []fleet.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		return nil, err
-	}
-	return jobs, nil
+	err := getJSON(client, base, "/fleet/jobs", &jobs)
+	return jobs, err
 }
 
 // fleetSummarize reads /debug/fleet and folds the event log into
 // per-chip placement and migration counts.
 func fleetSummarize(client *http.Client, base string, elapsed time.Duration) (*fleetSummary, error) {
-	resp, err := client.Get(base + "/debug/fleet")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var dbg service.FleetDebugResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
+	if err := getJSON(client, base, "/debug/fleet", &dbg); err != nil {
 		return nil, err
 	}
 	sum := &fleetSummary{

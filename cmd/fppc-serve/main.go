@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "max concurrent compilations (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 256, "compile cache capacity (entries)")
 	compileWorkers := fs.Int("compile-workers", 0, "worker goroutines inside each compile's schedule/route phases (0 or 1 = sequential; output is byte-identical either way)")
-	memoN := fs.Int("memo", 128, "incremental-recompilation memo capacity in entries (0 disables)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request compile deadline")
 	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "hard cap on client-requested deadlines")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace period for in-flight requests")
@@ -129,15 +128,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	memoCfg := *memoN
-	if memoCfg == 0 {
-		memoCfg = -1 // Config treats 0 as "default"; -1 disables.
-	}
 	srv := service.New(service.Config{
 		Workers:         *workers,
 		CacheEntries:    *cache,
 		CompileWorkers:  *compileWorkers,
-		MemoEntries:     memoCfg,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		ForceVerify:     *verify,

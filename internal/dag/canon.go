@@ -1,10 +1,10 @@
 package dag
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"fmt"
-	"hash"
+	"slices"
 	"sort"
 )
 
@@ -62,132 +62,254 @@ func (a *Assay) Relabeled(fn func(old string) string) *Assay {
 }
 
 // CanonicalOrder returns a node ordering derived from the assay's
-// content rather than its insertion order. It seeds each node with the
-// structural hashes the Fingerprint digests (ancestor-cone and
-// descendant-cone), then runs color refinement (each round rehashes a
-// node's color with its parents' and children's colors) with
-// individualization: while structurally indistinguishable classes
-// remain, one member is split off and refinement reruns. Members of such
-// a class are interchangeable under a graph automorphism, so which one
-// is split does not affect the resulting adjacency — two renumberings of
-// the same graph therefore canonicalize to identical orderings.
+// content rather than its insertion order, by partition refinement
+// with individualization:
+//
+//   - The initial cells group nodes with equal cone keys (the per-node
+//     hashes the Fingerprint digests), ordered by key.
+//   - Refinement splits cells until every member of a cell has the same
+//     number of parents and the same number of children in each cell
+//     (an equitable partition).
+//   - While some cell holds more than one node, the lowest-ID member of
+//     the first such cell is split off into a cell of its own, ahead of
+//     the rest, and refinement resumes.
+//
+// Every step depends on structure and cell positions alone, except for
+// which member individualization picks. That choice assumes the
+// members of a cell are interchangeable under a graph automorphism, so
+// that picking another one yields the same adjacency: two renumberings
+// of the same graph then canonicalize to identical assays. Refinement
+// cannot prove the assumption — some graphs have equitable cells whose
+// members are not automorphic — and where it fails, two numberings
+// canonicalize to different, equally valid, forms of the same graph.
 func (a *Assay) CanonicalOrder() ([]int, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := a.TopologicalOrder()
+	order, err := a.ValidateAndOrder()
 	if err != nil {
 		return nil, err
 	}
-	nodeAttrs := func(h hash.Hash, n *Node) {
-		h.Write([]byte{byte(n.Kind)})
-		writeString(h, n.Fluid)
-		writeInt(h, n.Duration)
+	p := newPartition(a, a.coneKeys(order))
+	p.refine()
+	for s := p.nextTied(); s >= 0; s = p.nextTied() {
+		p.individualize(s)
+		p.refine()
 	}
-	down := make([][sha256.Size]byte, len(a.Nodes))
-	for _, id := range order {
-		n := a.Nodes[id]
-		h := sha256.New()
-		h.Write([]byte("down"))
-		nodeAttrs(h, n)
-		writeSortedHashes(h, n.Parents, down)
-		copy(down[id][:], h.Sum(nil))
+	return p.elems, nil
+}
+
+// partition is an ordered partition of an assay's nodes: elems lists
+// the nodes cell by cell, and the cell [s, end[s]) is named by its
+// start position s. Cells only ever split, so a start stays a start.
+type partition struct {
+	a     *Assay
+	elems []int // position -> node
+	pos   []int // node -> position
+	cell  []int // node -> start of its cell
+	end   []int // cell start -> one past its last position
+	cells int
+
+	// queue holds the starts of the cells still to refine against, in
+	// FIFO order; pending[s] marks s as queued. A split into k cells
+	// pushes at most k-1 of them, so pushes never outnumber cell
+	// starts, and the queue never outgrows its len(elems) capacity.
+	queue   []int
+	pending []bool
+
+	// Scratch of one splitBy: each node's number of parents (pc) and
+	// children (cc) inside the splitter, the nodes with a nonzero count,
+	// and the starts of the cells a split produced.
+	pc, cc  []int
+	touched []int
+	bounds  []int
+
+	tied int // every cell before position tied is a singleton
+}
+
+// newPartition seeds one cell per distinct key, in key order, and
+// queues every cell.
+func newPartition(a *Assay, keys [][sha256.Size]byte) *partition {
+	n := len(a.Nodes)
+	p := &partition{
+		a: a, elems: make([]int, n), pos: make([]int, n), cell: make([]int, n), end: make([]int, n),
+		queue: make([]int, 0, n), pending: make([]bool, n), pc: make([]int, n), cc: make([]int, n),
 	}
-	up := make([][sha256.Size]byte, len(a.Nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := a.Nodes[order[i]]
-		h := sha256.New()
-		h.Write([]byte("up"))
-		nodeAttrs(h, n)
-		writeSortedHashes(h, n.Children, up)
-		copy(up[n.ID][:], h.Sum(nil))
+	for i := range p.elems {
+		p.elems[i] = i
 	}
-	color := make([][sha256.Size]byte, len(a.Nodes))
-	for i := range a.Nodes {
-		h := sha256.New()
-		h.Write(down[i][:])
-		h.Write(up[i][:])
-		copy(color[i][:], h.Sum(nil))
-	}
-	refineColors(a, color)
-	for indiv := 0; ; indiv++ {
-		id := smallestTiedNode(color)
-		if id < 0 {
-			break
+	slices.SortFunc(p.elems, func(x, y int) int { return compareHashes(keys[x], keys[y]) })
+	for s := 0; s < n; {
+		e := s + 1
+		for e < n && keys[p.elems[e]] == keys[p.elems[s]] {
+			e++
 		}
-		h := sha256.New()
-		h.Write([]byte("indiv"))
-		h.Write(color[id][:])
-		writeInt(h, indiv)
-		copy(color[id][:], h.Sum(nil))
-		refineColors(a, color)
+		for i := s; i < e; i++ {
+			p.pos[p.elems[i]], p.cell[p.elems[i]] = i, s
+		}
+		p.end[s] = e
+		p.cells++
+		p.push(s)
+		s = e
 	}
-	ids := make([]int, len(a.Nodes))
-	for i := range ids {
-		ids[i] = i
+	return p
+}
+
+func (p *partition) push(s int) {
+	p.pending[s] = true
+	p.queue = append(p.queue, s)
+}
+
+// refine splits cells against queued splitters until none is left (the
+// partition is then equitable) or every cell is a singleton.
+func (p *partition) refine() {
+	for len(p.queue) > 0 && p.cells < len(p.elems) {
+		s := p.queue[0]
+		p.queue = p.queue[1:]
+		p.pending[s] = false
+		p.splitBy(s, p.end[s])
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		return bytes.Compare(color[ids[i]][:], color[ids[j]][:]) < 0
+}
+
+// splitBy splits every cell holding a parent or child of the splitter
+// cell [ws, we) by how many parents and children its members have in
+// the splitter. Only those neighbours' cells are examined.
+func (p *partition) splitBy(ws, we int) {
+	nodes := p.a.Nodes
+	for _, w := range p.elems[ws:we] {
+		for _, c := range nodes[w].Children {
+			p.touch(c)
+			p.pc[c]++
+		}
+		for _, q := range nodes[w].Parents {
+			p.touch(q)
+			p.cc[q]++
+		}
+	}
+	// Group the touched nodes by cell, cells in position order, members
+	// by count: every new cell start and queue entry below then follows
+	// from structure alone.
+	slices.SortFunc(p.touched, func(x, y int) int {
+		if c := cmp.Compare(p.cell[x], p.cell[y]); c != 0 {
+			return c
+		}
+		return p.compareCounts(x, y)
 	})
-	return ids, nil
+	for i := 0; i < len(p.touched); {
+		s := p.cell[p.touched[i]]
+		j := i + 1
+		for j < len(p.touched) && p.cell[p.touched[j]] == s {
+			j++
+		}
+		p.splitCell(s, p.touched[i:j])
+		i = j
+	}
+	for _, v := range p.touched {
+		p.pc[v], p.cc[v] = 0, 0
+	}
+	p.touched = p.touched[:0]
 }
 
-// refineColors reruns Weisfeiler-Leman-style rounds — rehash every
-// node's color together with its parents' and children's sorted colors —
-// until the partition into color classes stops growing. A node's new
-// color includes its old one, so refinement never merges classes.
-func refineColors(a *Assay, color [][sha256.Size]byte) {
-	distinct := func() int {
-		set := make(map[[sha256.Size]byte]struct{}, len(color))
-		for _, c := range color {
-			set[c] = struct{}{}
-		}
-		return len(set)
-	}
-	for prev := distinct(); ; {
-		next := make([][sha256.Size]byte, len(color))
-		for i, n := range a.Nodes {
-			h := sha256.New()
-			h.Write(color[i][:])
-			h.Write([]byte("p"))
-			writeSortedHashes(h, n.Parents, color)
-			h.Write([]byte("c"))
-			writeSortedHashes(h, n.Children, color)
-			copy(next[i][:], h.Sum(nil))
-		}
-		copy(color, next)
-		cur := distinct()
-		if cur == prev {
-			return
-		}
-		prev = cur
+func (p *partition) touch(v int) {
+	if p.pc[v] == 0 && p.cc[v] == 0 {
+		p.touched = append(p.touched, v)
 	}
 }
 
-// smallestTiedNode returns one member of the color class with the
-// smallest color among classes that still hold more than one node, or
-// -1 when every color is unique. Ties within the class are broken by
-// node index; refinement has proven the members mutually
-// indistinguishable, so the pick is automorphism-safe.
-func smallestTiedNode(color [][sha256.Size]byte) int {
-	best := -1
-	counts := make(map[[sha256.Size]byte]int, len(color))
-	for _, c := range color {
-		counts[c]++
+func (p *partition) compareCounts(x, y int) int {
+	if c := cmp.Compare(p.pc[x], p.pc[y]); c != 0 {
+		return c
 	}
-	for i, c := range color {
-		if counts[c] < 2 {
-			continue
-		}
-		if best < 0 || bytes.Compare(c[:], color[best][:]) < 0 {
-			best = i
+	return cmp.Compare(p.cc[x], p.cc[y])
+}
+
+// splitCell splits the cell starting at s, given its touched members t
+// sorted by count, into sub-cells ordered by (parents, children) in the
+// splitter: the untouched members (0, 0) first, then one sub-cell per
+// distinct count. It queues the sub-cells the partition is not yet
+// known to be stable against: all of them when the old cell was still
+// queued (its entry now names the first), else all but the largest,
+// whose counts follow from the old cell's and the others'.
+func (p *partition) splitCell(s int, t []int) {
+	e := p.end[s]
+	if len(t) == e-s && p.compareCounts(t[0], t[len(t)-1]) == 0 {
+		return
+	}
+	// Swap the touched members into the cell's tail, then lay them out
+	// in count order.
+	tail := e - len(t)
+	for k, v := range t {
+		p.swap(p.pos[v], e-1-k)
+	}
+	copy(p.elems[tail:e], t)
+	for k, v := range t {
+		p.pos[v] = tail + k
+	}
+	b := p.bounds[:0]
+	if tail > s {
+		b = append(b, s)
+	}
+	for k := range t {
+		if k == 0 || p.compareCounts(t[k-1], t[k]) != 0 {
+			b = append(b, tail+k)
 		}
 	}
-	return best
+	b = append(b, e)
+	p.bounds = b
+	largest := 0
+	for i := 0; i+1 < len(b); i++ {
+		lo, hi := b[i], b[i+1]
+		p.end[lo] = hi
+		if lo != s {
+			for _, v := range p.elems[lo:hi] {
+				p.cell[v] = lo
+			}
+		}
+		if hi-lo > b[largest+1]-b[largest] {
+			largest = i
+		}
+	}
+	p.cells += len(b) - 2
+	wasPending := p.pending[s]
+	for i := 0; i+1 < len(b); i++ {
+		if (wasPending && i > 0) || (!wasPending && i != largest) {
+			p.push(b[i])
+		}
+	}
+}
+
+func (p *partition) swap(i, j int) {
+	p.elems[i], p.elems[j] = p.elems[j], p.elems[i]
+	p.pos[p.elems[i]], p.pos[p.elems[j]] = i, j
+}
+
+// nextTied returns the start of the first cell holding more than one
+// node, or -1 once every cell is a singleton.
+func (p *partition) nextTied() int {
+	for p.tied < len(p.elems) && p.end[p.tied] == p.tied+1 {
+		p.tied++
+	}
+	if p.tied == len(p.elems) {
+		return -1
+	}
+	return p.tied
+}
+
+// individualize splits the lowest-ID member v of the cell starting at s
+// into a cell of its own at s, ahead of the rest, and queues {v} alone:
+// the partition was equitable, so counts into the rest follow from
+// counts into the old cell and into {v}.
+func (p *partition) individualize(s int) {
+	e := p.end[s]
+	v := slices.Min(p.elems[s:e])
+	p.swap(s, p.pos[v])
+	p.end[s], p.end[s+1] = s+1, e
+	for _, u := range p.elems[s+1 : e] {
+		p.cell[u] = s + 1
+	}
+	p.cells++
+	p.push(s)
 }
 
 // Canonical returns the assay renumbered into canonical order: the node
-// with the smallest structural hash gets ID 0, and so on. Renumbered
+// CanonicalOrder puts first gets ID 0, and so on. Renumbered
 // variants of one graph canonicalize to structurally identical assays
 // (automorphic nodes may swap labels), so compiling the canonical form
 // makes the whole synthesis pipeline invariant to how the caller

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"slices"
 	"sort"
 )
 
@@ -28,53 +29,18 @@ const fingerprintVersion = "fppc/dag-fingerprint/v1"
 // and the fingerprint digests the sorted multiset of per-node hashes,
 // so no node identifier ever enters the encoding.
 func (a *Assay) Fingerprint() (string, error) {
-	if err := a.Validate(); err != nil {
-		return "", err
-	}
-	order, err := a.TopologicalOrder()
+	order, err := a.ValidateAndOrder()
 	if err != nil {
 		return "", err
 	}
-
-	nodeAttrs := func(h hash.Hash, n *Node) {
-		h.Write([]byte{byte(n.Kind)})
-		writeString(h, n.Fluid)
-		writeInt(h, n.Duration)
-	}
-
-	down := make([][sha256.Size]byte, len(a.Nodes))
-	for _, id := range order {
-		n := a.Nodes[id]
-		h := sha256.New()
-		h.Write([]byte("down"))
-		nodeAttrs(h, n)
-		writeSortedHashes(h, n.Parents, down)
-		copy(down[id][:], h.Sum(nil))
-	}
-	up := make([][sha256.Size]byte, len(a.Nodes))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := a.Nodes[order[i]]
-		h := sha256.New()
-		h.Write([]byte("up"))
-		nodeAttrs(h, n)
-		writeSortedHashes(h, n.Children, up)
-		copy(up[n.ID][:], h.Sum(nil))
-	}
-
-	keys := make([][]byte, len(a.Nodes))
-	for i := range a.Nodes {
-		h := sha256.New()
-		h.Write(down[i][:])
-		h.Write(up[i][:])
-		keys[i] = h.Sum(nil)
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	keys := a.coneKeys(order)
+	slices.SortFunc(keys, compareHashes)
 
 	final := sha256.New()
 	writeString(final, fingerprintVersion)
 	writeInt(final, len(a.Nodes))
-	for _, k := range keys {
-		final.Write(k)
+	for i := range keys {
+		final.Write(keys[i][:])
 	}
 	// Reservoir ports per dispensed fluid (effective counts: entries for
 	// fluids the assay never dispenses are not semantic).
@@ -97,29 +63,74 @@ func (a *Assay) Fingerprint() (string, error) {
 	return hex.EncodeToString(final.Sum(nil)), nil
 }
 
-// writeString emits a length-prefixed string so adjacent fields can
+// coneKeys returns every node's structural key, indexed by node ID:
+// SHA-256 over the node's "down" hash (its attributes and its parents'
+// down hashes, so its whole ancestor cone) followed by its "up" hash
+// (the same over children, so its descendant cone). Renumbering the
+// graph moves keys between IDs but never changes them. order must be a
+// topological order of the valid assay.
+func (a *Assay) coneKeys(order []int) [][sha256.Size]byte {
+	down := make([][sha256.Size]byte, len(a.Nodes))
+	up := make([][sha256.Size]byte, len(a.Nodes))
+	var enc coneEncoder
+	for _, id := range order {
+		n := a.Nodes[id]
+		down[id] = enc.hash("down", n, n.Parents, down)
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		n := a.Nodes[order[i]]
+		up[n.ID] = enc.hash("up", n, n.Children, up)
+	}
+	// down[i] is read only to compute key i, so the keys overwrite it.
+	for i := range down {
+		b := append(append(enc.buf[:0], down[i][:]...), up[i][:]...)
+		down[i] = sha256.Sum256(b)
+		enc.buf = b
+	}
+	return down
+}
+
+// coneEncoder hashes one cone step at a time into reused buffers, so
+// keying a graph allocates nothing per node.
+type coneEncoder struct {
+	buf  []byte
+	nbrs [][sha256.Size]byte
+}
+
+// hash digests the direction tag, the node's kind, fluid and duration,
+// and the sorted multiset of its neighbours' hashes (duplicates kept: a
+// split feeding both halves into one mix is two edges).
+func (e *coneEncoder) hash(dir string, n *Node, nbrs []int, hs [][sha256.Size]byte) [sha256.Size]byte {
+	e.nbrs = e.nbrs[:0]
+	for _, id := range nbrs {
+		e.nbrs = append(e.nbrs, hs[id])
+	}
+	slices.SortFunc(e.nbrs, compareHashes)
+	b := append(e.buf[:0], dir...)
+	b = append(b, byte(n.Kind))
+	b = appendString(b, n.Fluid)
+	b = appendInt(b, n.Duration)
+	b = appendInt(b, len(e.nbrs))
+	for i := range e.nbrs {
+		b = append(b, e.nbrs[i][:]...)
+	}
+	e.buf = b
+	return sha256.Sum256(b)
+}
+
+func compareHashes(x, y [sha256.Size]byte) int { return bytes.Compare(x[:], y[:]) }
+
+// appendString emits a length-prefixed string so adjacent fields can
 // never be confused.
-func writeString(h hash.Hash, s string) {
-	writeInt(h, len(s))
-	h.Write([]byte(s))
+func appendString(b []byte, s string) []byte {
+	return append(appendInt(b, len(s)), s...)
 }
 
-func writeInt(h hash.Hash, v int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-	h.Write(buf[:])
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 }
 
-// writeSortedHashes digests the multiset of neighbor hashes (duplicates
-// kept: a split feeding both halves into one mix is two edges).
-func writeSortedHashes(h hash.Hash, ids []int, hs [][sha256.Size]byte) {
-	sorted := make([][]byte, len(ids))
-	for i, id := range ids {
-		sorted[i] = hs[id][:]
-	}
-	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
-	writeInt(h, len(sorted))
-	for _, s := range sorted {
-		h.Write(s)
-	}
-}
+// writeString and writeInt stream the same encodings into a hash.
+func writeString(h hash.Hash, s string) { h.Write(appendString(nil, s)) }
+
+func writeInt(h hash.Hash, v int) { h.Write(appendInt(nil, v)) }

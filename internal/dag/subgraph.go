@@ -3,7 +3,6 @@ package dag
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"hash"
 )
 
 // structuralHashVersion is bumped whenever the raw encoding changes, so
@@ -48,45 +47,4 @@ func (a *Assay) StructuralHash() string {
 		writeInt(h, a.ReservoirCount(n.Fluid))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// ConeFingerprint is the renumbering-invariant fingerprint of one
-// node's ancestor cone: the sub-DAG of everything the node transitively
-// depends on, plus the node's own attributes. Two nodes — in the same
-// assay or across assays — share a ConeFingerprint exactly when their
-// ancestor cones are isomorphic with identical kinds, fluids and
-// durations, which makes the cone the unit of cross-compile reuse: an
-// edited assay keeps the cone fingerprints of every subgraph the edit
-// did not reach.
-type ConeFingerprint [sha256.Size]byte
-
-// ConeFingerprints returns the per-node ancestor-cone fingerprints,
-// indexed by node ID. These are the "down" hashes Fingerprint already
-// digests, exposed so the compile memo can index chip-size outcomes by
-// subgraph (a recompile of a slightly-edited DAG votes for the chip
-// size its surviving cones last succeeded on). The assay must validate.
-func (a *Assay) ConeFingerprints() ([]ConeFingerprint, error) {
-	order, err := a.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	nodeAttrs := func(h hash.Hash, n *Node) {
-		h.Write([]byte{byte(n.Kind)})
-		writeString(h, n.Fluid)
-		writeInt(h, n.Duration)
-	}
-	down := make([][sha256.Size]byte, len(a.Nodes))
-	for _, id := range order {
-		n := a.Nodes[id]
-		h := sha256.New()
-		h.Write([]byte("down"))
-		nodeAttrs(h, n)
-		writeSortedHashes(h, n.Parents, down)
-		copy(down[id][:], h.Sum(nil))
-	}
-	out := make([]ConeFingerprint, len(down))
-	for i, d := range down {
-		out[i] = ConeFingerprint(d)
-	}
-	return out, nil
 }

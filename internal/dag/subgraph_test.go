@@ -1,9 +1,6 @@
 package dag
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // twoMixChain builds Dispense -> Mix(3) -> Mix(2) -> Output, the
 // smallest assay with a non-trivial cone structure.
@@ -75,62 +72,6 @@ func TestStructuralHashSensitiveToEdits(t *testing.T) {
 	res.Reservoirs = map[string]int{"r1": 3}
 	if res.StructuralHash() == base {
 		t.Error("reservoir-count edit left the hash unchanged")
-	}
-}
-
-// TestConeFingerprintsRenumberInvariant pins the complementary
-// property: cone fingerprints identify subgraphs up to renumbering, so
-// a permuted assay has exactly the same multiset of fingerprints, with
-// each node keeping its own cone's hash across the move.
-func TestConeFingerprintsRenumberInvariant(t *testing.T) {
-	a := twoMixChain()
-	fa, err := a.ConeFingerprints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		perm := rng.Perm(len(a.Nodes))
-		b, err := a.Renumbered(perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := b.ConeFingerprints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fa {
-			if fb[perm[i]] != fa[i] {
-				t.Fatalf("trial %d: node %d's cone fingerprint changed when renumbered to %d", trial, i, perm[i])
-			}
-		}
-	}
-}
-
-func TestConeFingerprintsEditLocality(t *testing.T) {
-	a := twoMixChain()
-	fa, err := a.ConeFingerprints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Edit the second-stage dispense D3 (ID 3): only the cones that can
-	// reach it upward — D3 itself, M2 and O — may change; D1, D2 and M1
-	// must keep their fingerprints (that reuse is the point of cones).
-	b := twoMixChain()
-	b.Nodes[3].Duration += 5
-	fb, err := b.ConeFingerprints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, keep := range []int{0, 1, 2} {
-		if fb[keep] != fa[keep] {
-			t.Errorf("node %d's cone changed though the edit is outside it", keep)
-		}
-	}
-	for _, changed := range []int{3, 4, 5} {
-		if fb[changed] == fa[changed] {
-			t.Errorf("node %d's cone unchanged though the edit is inside it", changed)
-		}
 	}
 }
 

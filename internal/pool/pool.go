@@ -1,7 +1,8 @@
 // Package pool provides the bounded worker pool the synthesis pipeline
-// uses to run independent work inside one compile — speculative
-// auto-grow size attempts, scheduler precomputation passes, per-move
-// routing path batches — without unbounded goroutine fan-out.
+// uses to run independent work inside one compile — the scheduler's
+// four precomputation passes and the direct-addressing router's
+// per-move path batches — without unbounded goroutine fan-out.
+// Auto-grow size attempts run one after another, not on the pool.
 //
 // A Pool is a concurrency limit, not a set of persistent goroutines:
 // Do spawns at most Workers goroutines for the duration of one call and

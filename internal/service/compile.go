@@ -167,8 +167,9 @@ func badRequest(format string, args ...any) error {
 	return &badRequestError{fmt.Errorf(format, args...)}
 }
 
-// job is a fully validated compile request: the parsed assay, its
-// fingerprint, the core config, and the cache key binding them.
+// job is a fully validated compile request: the parsed assay as
+// submitted, its fingerprint, the core config, and the cache key
+// binding them.
 type job struct {
 	assay    *dag.Assay
 	cfg      core.Config
@@ -177,14 +178,21 @@ type job struct {
 	cacheKey string
 	verify   bool
 	faults   *faults.Set
+	// canonD is the request's canonicalize stage: the fingerprint, plus
+	// the canonical form when this request runs the compile.
+	canonD time.Duration
 }
 
 // entry is a cached compile outcome: the response with the per-request
 // fields zeroed, plus the request-scoped trace of the compile that
-// built it (served inline for "trace": true requests).
+// built it (served inline for "trace": true requests). The cache key
+// leaves out the assay name, so resp.Assay stays empty and summary
+// holds the compile summary after the name; each request fills both
+// from its own name.
 type entry struct {
-	resp  CompileResponse
-	spans []obs.SpanRecord
+	resp    CompileResponse
+	summary string
+	spans   []obs.SpanRecord
 }
 
 // parseAssayInput decodes the assay from exactly one of the two wire
@@ -212,8 +220,10 @@ func parseAssayInput(aslText string, raw json.RawMessage) (*dag.Assay, error) {
 	return a, nil
 }
 
-// prepare validates the request into a job, timing the parse and
-// canonicalize stages onto the journal entry and the stage histograms.
+// prepare validates the request into a job, timing the parse stage
+// onto the journal entry and its histogram. It fingerprints the assay
+// for the cache key but leaves the canonical form to the request that
+// runs the compile, so a cache hit never builds one.
 func (s *Server) prepare(req CompileRequest, rec *journal.Entry) (*job, error) {
 	tParse := time.Now()
 	assay, err := parseAssayInput(req.ASL, req.DAG)
@@ -267,33 +277,23 @@ func (s *Server) prepare(req CompileRequest, rec *journal.Entry) (*job, error) {
 		}
 	}
 
-	tCanon := time.Now()
+	tFP := time.Now()
 	fp, err := assay.Fingerprint()
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	// Compile the canonical form, not the submitted numbering. Raw
-	// compilation is sensitive to node IDs (scheduler tie-breaks), while
-	// the cache below is keyed by the numbering-invariant fingerprint —
-	// without canonicalization a cache hit could return a different
-	// program than the cold compile of the same request would have.
-	canon, err := assay.Canonical()
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
-	dCanon := time.Since(tCanon)
-	rec.SetStage(journal.StageCanonicalize, dCanon)
-	s.hStage[journal.StageCanonicalize].Observe(dCanon.Seconds())
+	dFP := time.Since(tFP)
 	rec.SetAssay(assay.Name, fp, req.Target, faultSet.String())
 	verify := req.Verify || s.cfg.ForceVerify
-	// The fault component uses the set's canonical String (sorted,
-	// deduplicated), so "open@5,2; dead#7" and "dead#7;open@5,2" share a
-	// cache entry.
-	key := fmt.Sprintf("%s|%s|%s|h%d|da%dx%d|grow%t|single%t|det%d|seq%t|rot%d|verify%t|faults:%s",
-		fp, assay.Name, req.Target, req.Height, req.DAWidth, req.DAHeight,
+	// The key leaves out the assay name, which no compiled artifact
+	// depends on: a renamed resubmission is a hit. The fault component
+	// uses the set's canonical String (sorted, deduplicated), so
+	// "open@5,2; dead#7" and "dead#7;open@5,2" share a cache entry.
+	key := fmt.Sprintf("%s|%s|h%d|da%dx%d|grow%t|single%t|det%d|seq%t|rot%d|verify%t|faults:%s",
+		fp, req.Target, req.Height, req.DAWidth, req.DAHeight,
 		req.Grow, req.SingleOutputPort, req.DetectorCount, req.Sequence, req.RotationsPerStep, verify,
 		faultSet.String())
-	return &job{assay: canon, cfg: cfg, req: req, fp: fp, cacheKey: key, verify: verify, faults: faultSet}, nil
+	return &job{assay: assay, cfg: cfg, req: req, fp: fp, cacheKey: key, verify: verify, faults: faultSet, canonD: dFP}, nil
 }
 
 // verificationError marks a compile whose result failed the oracle — a
@@ -332,7 +332,6 @@ func (j *job) runVerify(res *core.Result) (*VerificationInfo, error) {
 // buildEntry converts a compile result into the cacheable response.
 func (j *job) buildEntry(res *core.Result) *entry {
 	resp := CompileResponse{
-		Assay:       res.Assay.Name,
 		Target:      j.req.Target,
 		Fingerprint: j.fp,
 		Chip: ChipInfo{
@@ -350,7 +349,6 @@ func (j *job) buildEntry(res *core.Result) *entry {
 			RouteCycles:      res.Routing.TotalCycles,
 			RouteSubproblems: len(res.Routing.Boundaries),
 		},
-		Summary: res.Summary(),
 	}
 	if prog := res.Routing.Program; prog != nil && j.req.Sequence {
 		seq := &Sequence{PinCount: res.Chip.PinCount(), Cycles: make([][]int, prog.Len())}
@@ -368,5 +366,5 @@ func (j *job) buildEntry(res *core.Result) *entry {
 		}
 		resp.Sequence = seq
 	}
-	return &entry{resp: resp}
+	return &entry{resp: resp, summary: strings.TrimPrefix(res.Summary(), res.Assay.Name)}
 }

@@ -71,12 +71,10 @@ type Config struct {
 	CompileWorkers int
 	// CacheEntries bounds the compile cache (default 256).
 	CacheEntries int
-	// MemoEntries bounds the structural memo shared by all requests: a
-	// compile whose DAG is structurally identical to a previously
-	// compiled one (same shape, fluids, durations — labels and names
-	// may differ, which the byte-level response cache cannot see past)
-	// is served from a deep clone instead of a fresh synthesis run.
-	// Default 128; negative disables memoization.
+	// MemoEntries is ignored. The response cache is the server's only
+	// compile store: its key is the numbering-invariant fingerprint and
+	// leaves out the assay name, so relabeled, renumbered and renamed
+	// resubmissions are hits. The field stays for callers that set it.
 	MemoEntries int
 	// DefaultTimeout applies when a request names no timeout_ms
 	// (default 30s).
@@ -131,7 +129,6 @@ type Server struct {
 	ob      *obs.Observer
 	sem     chan struct{}
 	cache   *lruCache
-	memo    *core.Memo // structural compile memo (nil when disabled)
 	flight  *group
 	queued  atomic.Int64
 	start   time.Time
@@ -181,14 +178,6 @@ type Server struct {
 }
 
 // endpointCounters caches the requests_total series of one endpoint.
-// memoFor builds the structural compile memo, or nil when disabled.
-func memoFor(cfg Config) *core.Memo {
-	if cfg.MemoEntries < 0 {
-		return nil
-	}
-	return core.NewMemo(cfg.MemoEntries)
-}
-
 type endpointCounters struct {
 	ok    *obs.Counter // status 200, the hot path
 	other sync.Map     // int status -> *obs.Counter, resolved on first use
@@ -201,9 +190,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 256
-	}
-	if cfg.MemoEntries == 0 {
-		cfg.MemoEntries = 128
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
@@ -231,7 +217,6 @@ func New(cfg Config) *Server {
 		ob:      ob,
 		sem:     make(chan struct{}, cfg.Workers),
 		cache:   newLRUCache(cfg.CacheEntries),
-		memo:    memoFor(cfg),
 		flight:  newGroup(),
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
@@ -513,6 +498,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	e, outcome, err := s.compile(ctx, j, rec)
 	rec.SetOutcome(outcome)
+	rec.SetStage(journal.StageCanonicalize, j.canonD)
+	s.hStage[journal.StageCanonicalize].Observe(j.canonD.Seconds())
 	if err != nil {
 		code, kind := classifyCompileError(err)
 		if kind == "canceled" {
@@ -526,6 +513,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := e.resp // copy; per-request fields set below
+	resp.Assay = j.assay.Name
+	resp.Summary = j.assay.Name + e.summary
 	resp.Cached = outcome == journal.OutcomeHit
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	resp.RequestID = reqID
@@ -569,11 +558,11 @@ func (s *Server) compile(ctx context.Context, j *job, rec *journal.Entry) (*entr
 	}
 }
 
-// runCompile waits for a worker slot, compiles under a request-scoped
-// tracer, and populates the cache. The tracer's spans and the
-// schedule/route/verify stage durations land on the caller's journal
-// entry (rec is the singleflight leader's entry; followers share the
-// result but executed none of the stages).
+// runCompile waits for a worker slot, canonicalizes the assay,
+// compiles it under a request-scoped tracer, and populates the cache.
+// The tracer's spans and the schedule/route/verify stage durations land
+// on the caller's journal entry (rec is the singleflight leader's entry;
+// followers share the result but executed none of the stages).
 func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*entry, error) {
 	s.gQueue.Set(float64(s.queued.Add(1)))
 	select {
@@ -585,6 +574,17 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 	}
 	defer func() { <-s.sem }()
 
+	// Compile the canonical form, not the submitted numbering. Raw
+	// compilation is sensitive to node IDs (scheduler tie-breaks), while
+	// the cache is keyed by the numbering-invariant fingerprint — without
+	// canonicalization a cache hit could return a different program than
+	// the cold compile of the same request would have.
+	tCanon := time.Now()
+	canon, err := j.assay.Canonical()
+	j.canonD += time.Since(tCanon)
+	if err != nil {
+		return nil, &badRequestError{err}
+	}
 	s.gInflight.Set(float64(len(s.sem)))
 	s.cCompiles.Inc()
 	tc := telemetry.New()
@@ -596,9 +596,8 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 	cfg.Obs = reqOb
 	cfg.Router.Telemetry = tc
 	cfg.Workers = s.cfg.CompileWorkers
-	cfg.Memo = s.memo
 	t0 := time.Now()
-	res, err := core.CompileContext(ctx, j.assay, cfg)
+	res, err := core.CompileContext(ctx, canon, cfg)
 	s.hCompile.Observe(time.Since(t0).Seconds())
 	s.gInflight.Set(float64(len(s.sem) - 1))
 	spans := reqOb.Tracer().Records()
@@ -771,22 +770,15 @@ type Health struct {
 	Workers       int     `json:"workers"`
 	QueueDepth    int64   `json:"queue_depth"`
 	CacheEntries  int     `json:"cache_entries"`
-	MemoEntries   int     `json:"memo_entries"`
-	MemoHits      uint64  `json:"memo_hits"`
-	MemoMisses    uint64  `json:"memo_misses"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.memo.Stats()
 	writeJSON(w, http.StatusOK, Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.cfg.Workers,
 		QueueDepth:    s.queued.Load(),
 		CacheEntries:  s.cache.len(),
-		MemoEntries:   s.memo.Len(),
-		MemoHits:      hits,
-		MemoMisses:    misses,
 	})
 }
 

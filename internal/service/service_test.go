@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fppc/internal/asl"
 	"fppc/internal/assays"
 	"fppc/internal/core"
 )
@@ -350,39 +352,63 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// Two requests that miss the response cache (the verify flag is part
-// of its key) but share assay structure must share one compile through
-// the server's structural memo, visible on /healthz.
-func TestStructuralMemoSharedAcrossDistinctRequests(t *testing.T) {
+// A renamed, relabeled and renumbered resubmission is the same
+// compile: it must hit the response cache (whose key leaves the assay
+// name out) and carry its own name in assay and summary. A
+// verify-toggled resubmission misses the cache (verify is part of the
+// key) and recompiles to the same stats.
+func TestRenamedResubmissionHitsCache(t *testing.T) {
 	s, ts := newTestServer(t)
-	var plain, verified CompileResponse
+	var plain CompileResponse
 	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL}, &plain); code != http.StatusOK {
 		t.Fatalf("plain: HTTP %d", code)
 	}
+	a, err := asl.Parse(dilutionASL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := a.Relabeled(func(old string) string { return "x-" + old }).
+		Renumbered(rand.New(rand.NewSource(3)).Perm(a.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.Name = "dilution, resubmitted"
+	raw, err := json.Marshal(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var renamed CompileResponse
+	if code := post(t, ts.URL, CompileRequest{DAG: raw}, &renamed); code != http.StatusOK {
+		t.Fatalf("renamed: HTTP %d", code)
+	}
+	if !renamed.Cached {
+		t.Fatal("renamed, relabeled and renumbered resubmission missed the response cache")
+	}
+	if renamed.Assay != twin.Name {
+		t.Errorf("assay = %q, want the request's own name %q", renamed.Assay, twin.Name)
+	}
+	if want := twin.Name + strings.TrimPrefix(plain.Summary, plain.Assay); renamed.Summary != want {
+		t.Errorf("summary = %q, want %q", renamed.Summary, want)
+	}
+	if plain.Assay != "dilution" || !strings.HasPrefix(plain.Summary, "dilution on ") {
+		t.Errorf("first compile: assay %q, summary %q", plain.Assay, plain.Summary)
+	}
+	if renamed.Stats != plain.Stats || renamed.Chip != plain.Chip || renamed.Fingerprint != plain.Fingerprint {
+		t.Errorf("hit diverges from its compile: %+v vs %+v", renamed, plain)
+	}
+
+	var verified CompileResponse
 	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, Verify: true}, &verified); code != http.StatusOK {
 		t.Fatalf("verified: HTTP %d", code)
 	}
 	if verified.Cached {
-		t.Fatal("verify-toggled request hit the response cache; the memo was never exercised")
+		t.Fatal("verify-toggled request hit the unverified cache entry")
 	}
 	if plain.Stats != verified.Stats {
-		t.Errorf("stats diverge across memo replay: %+v vs %+v", plain.Stats, verified.Stats)
+		t.Errorf("stats diverge across verify: %+v vs %+v", plain.Stats, verified.Stats)
 	}
-	hits, misses := s.memo.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("memo stats hits=%d misses=%d, want 1/1", hits, misses)
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.MemoEntries != 1 || h.MemoHits != 1 || h.MemoMisses != 1 {
-		t.Errorf("healthz memo stats = %d entries, %d hits, %d misses; want 1/1/1", h.MemoEntries, h.MemoHits, h.MemoMisses)
+	if hits, compiles := s.cHits.Value(), s.cCompiles.Value(); hits != 1 || compiles != 2 {
+		t.Errorf("cache hits = %d, compiles = %d; want 1 and 2", hits, compiles)
 	}
 }
 
