@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	metricsOut := fs.String("metrics", "", "write pipeline metrics in Prometheus text format")
 	timeout := fs.Duration("timeout", 0, "abort compilation after this long (0 = no limit)")
-	workers := fs.Int("workers", 0, "worker goroutines for parallel schedule/route phases (0 or 1 = sequential; output is byte-identical either way)")
+	workers := fs.Int("workers", 0, "worker goroutines for scheduler precompute passes (0 = GOMAXPROCS) and DA path searches (parallel above 1); output is byte-identical at any setting")
 	verbose := fs.Bool("v", false, "print the per-stage span summary after compiling")
 	common := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {

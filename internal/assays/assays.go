@@ -313,3 +313,34 @@ func SerialDilution(steps int, tm Timing) *dag.Assay {
 	}
 	return a
 }
+
+// ConeTwins builds two assays that share a Fingerprint but are not
+// isomorphic. Each has three dispense→split chains feeding three
+// mix→output chains. G1 wires the split→mix edges as one 6-cycle; G2
+// wires a double edge (both halves of one split into one mix) and a
+// 4-cycle. Every node of either unfolds into the same ancestor and
+// descendant cones, so only a certificate of the canonical form tells
+// them apart — and they compile to different programs.
+func ConeTwins(tm Timing) (g1, g2 *dag.Assay) {
+	build := func(name string, wiring [6][2]int) *dag.Assay {
+		a := dag.New(name)
+		var splits, mixes [3]*dag.Node
+		for i := range splits {
+			d := a.Add(dag.Dispense, fmt.Sprintf("D%d", i), "A", tm.Dispense)
+			splits[i] = a.Add(dag.Split, fmt.Sprintf("S%d", i), "", 0)
+			a.AddEdge(d, splits[i])
+		}
+		for i := range mixes {
+			mixes[i] = a.Add(dag.Mix, fmt.Sprintf("M%d", i), "", tm.Mix)
+		}
+		for _, e := range wiring {
+			a.AddEdge(splits[e[0]], mixes[e[1]])
+		}
+		for i, m := range mixes {
+			a.AddEdge(m, a.Add(dag.Output, fmt.Sprintf("O%d", i), "W", 0))
+		}
+		return a
+	}
+	return build("G1", [6][2]int{{0, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 2}, {2, 0}}),
+		build("G2", [6][2]int{{0, 0}, {0, 0}, {1, 1}, {1, 2}, {2, 1}, {2, 2}})
+}

@@ -75,21 +75,14 @@ type Config struct {
 	DetectorCount int
 
 	// Workers bounds the concurrency of parallelizable work inside one
-	// compilation: the scheduler's precomputation passes and the DA
-	// router's per-boundary path searches. 0 or 1 runs everything
-	// sequentially. Every worker count produces byte-identical
-	// artifacts; the differential tests enforce that.
+	// compilation: the scheduler's precomputation passes run on a pool
+	// of this many workers (GOMAXPROCS when 0, inline when 1), and the
+	// DA router's per-boundary path searches fan out only above 1.
+	// Every worker count produces byte-identical artifacts; the
+	// differential tests enforce that.
 	Workers int
 
-	// Memo, when non-nil, caches compiled results keyed by the assay's
-	// structural hash, the target and the output-affecting config knobs,
-	// so recompiling a structurally identical DAG (a recovery plan, a
-	// fleet migration, a service retry) returns a deep clone of the
-	// cached artifacts instead of redoing the flow. Clones are
-	// byte-identical to a cold compile. Memoization is skipped — never
-	// wrong, just bypassed — for configs whose output the key cannot
-	// capture: fault models and router avoid predicates (arbitrary code),
-	// and telemetry sinks (replaying bytes would skip their callbacks).
+	// Memo is ignored (see Memo).
 	Memo *Memo
 
 	// Obs records stage spans (Compile > Schedule > Route) and pipeline
@@ -273,23 +266,7 @@ func CompileContext(ctx context.Context, a *dag.Assay, cfg Config) (*Result, err
 	if !ok {
 		return nil, fmt.Errorf("core: unknown target %d", int(cfg.Target))
 	}
-	key, memoable := memoKey(a, cfg, spec)
-	if memoable {
-		if e, hit := cfg.Memo.lookup(key); hit {
-			if res, err := replay(a, cfg, spec, e); err == nil {
-				cfg.Obs.Counter("fppc_memo_total", "outcome", "hit").Inc()
-				return res, nil
-			}
-			// A replay failure (it should not happen: the cached compile
-			// succeeded on this very configuration) falls through to a
-			// cold compile rather than surfacing a cache artifact.
-		}
-		cfg.Obs.Counter("fppc_memo_total", "outcome", "miss").Inc()
-	}
 	res, err := compileTarget(ctx, a, cfg, spec)
-	if memoable && err == nil {
-		cfg.Memo.store(key, res)
-	}
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		return nil, cancelErr(a, cfg, err)
 	}

@@ -1,193 +1,11 @@
 package core
 
-import (
-	"container/list"
-	"fmt"
-	"sync"
+// Memo is inert: core keeps no compile cache of its own, and
+// CompileContext ignores Config.Memo. The compile caches live with
+// their callers — the service's response cache and the fleet's compile
+// cache — keyed by the certificate of the canonical assay. The type
+// stays so that code built against it still compiles.
+type Memo struct{}
 
-	"fppc/internal/arch"
-	"fppc/internal/dag"
-	"fppc/internal/router"
-	"fppc/internal/scheduler"
-)
-
-// Memo is a bounded, concurrency-safe cache of compiled results keyed by
-// assay structure, target and the output-affecting configuration knobs.
-// It makes recompilation of a structurally identical DAG — a recovery
-// plan resynthesized after a fault, a fleet migration re-targeting a
-// chip, a service retry — an O(copy) operation instead of a full
-// schedule-and-route run.
-//
-// Soundness rests on three facts the tests pin down:
-//
-//   - The compile flow is a pure function of (DAG structure, target,
-//     config knobs in the key). StructuralHash covers node numbering,
-//     kinds, fluids, durations, edges and reservoir multiplicity; it
-//     deliberately covers the numbering because the scheduler breaks
-//     ties by node id, so two DAGs that differ only in numbering may
-//     legitimately compile differently (and therefore must not share an
-//     entry). Labels and the assay name are excluded: nothing in the
-//     flow branches on them.
-//   - Entries are deep-cloned on the way in and on the way out, so no
-//     caller mutation can corrupt the cache or leak between callers.
-//   - Configs the key cannot describe (fault models, avoid predicates,
-//     telemetry sinks — arbitrary code) bypass the memo entirely.
-type Memo struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // front = most recent; values are *memoEntry
-	entries map[string]*list.Element
-
-	hits, misses uint64
-}
-
-type memoEntry struct {
-	key  string
-	dims Dims // final (possibly grown) chip size of the cached compile
-
-	schedule scheduler.Schedule // deep copy, Assay/Chip nil
-	routing  router.Result      // deep copy
-}
-
-// DefaultMemoCapacity bounds a Memo built with capacity <= 0.
-const DefaultMemoCapacity = 64
-
-// NewMemo builds a memo holding at most capacity entries (<= 0 selects
-// DefaultMemoCapacity). A nil *Memo is a valid no-op cache.
-func NewMemo(capacity int) *Memo {
-	if capacity <= 0 {
-		capacity = DefaultMemoCapacity
-	}
-	return &Memo{cap: capacity, lru: list.New(), entries: map[string]*list.Element{}}
-}
-
-// Len reports the number of cached entries.
-func (m *Memo) Len() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len()
-}
-
-// Stats reports cumulative hit and miss counts.
-func (m *Memo) Stats() (hits, misses uint64) {
-	if m == nil {
-		return 0, 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// lookup returns the entry for key, bumping its recency.
-func (m *Memo) lookup(key string) (*memoEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.hits++
-	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry), true
-}
-
-// store inserts a deep copy of the result, evicting the least recently
-// used entry when full.
-func (m *Memo) store(key string, res *Result) {
-	e := &memoEntry{
-		key:      key,
-		dims:     Dims{W: res.Chip.W, H: res.Chip.H},
-		schedule: cloneSchedule(res.Schedule, nil, nil),
-		routing:  cloneRouting(res.Routing),
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		el.Value = e
-		m.lru.MoveToFront(el)
-		return
-	}
-	m.entries[key] = m.lru.PushFront(e)
-	for m.lru.Len() > m.cap {
-		last := m.lru.Back()
-		delete(m.entries, last.Value.(*memoEntry).key)
-		m.lru.Remove(last)
-	}
-}
-
-// memoKey derives the cache key for a compilation, or ok=false when the
-// config must bypass memoization: fault models and avoid predicates are
-// arbitrary code that changes the output in ways the key cannot
-// capture. Telemetry sinks do not bypass — the router-sourced counts
-// they would have observed live on the cached Result and are replayed
-// into the collector on a hit.
-func memoKey(a *dag.Assay, cfg Config, spec *TargetSpec) (string, bool) {
-	if cfg.Memo == nil || cfg.faulted() || cfg.Router.Avoid != nil {
-		return "", false
-	}
-	return fmt.Sprintf("%s|%s|fh%d|da%dx%d|grow%t|sop%t|det%d|emit%t|rot%d",
-		a.StructuralHash(), spec.Name,
-		cfg.FPPCHeight, cfg.DAWidth, cfg.DAHeight,
-		cfg.AutoGrow, cfg.SingleOutputPort, cfg.DetectorCount,
-		cfg.Router.EmitProgram, cfg.Router.RotationsPerStep), true
-}
-
-// replay reconstructs a full *Result from a cached entry: the chip is
-// rebuilt fresh at the cached (already grown) size and re-ported for the
-// caller's assay — identical to the chip the cached compile produced,
-// since port placement is a function of the assay's fluids, which the
-// structural hash covers — and the schedule and routing artifacts are
-// deep-cloned with their references redirected to the new chip and the
-// caller's own assay.
-func replay(a *dag.Assay, cfg Config, spec *TargetSpec, e *memoEntry) (*Result, error) {
-	chip, err := spec.NewChip(e.dims)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.DetectorCount > 0 {
-		chip.LimitDetectors(cfg.DetectorCount)
-	}
-	if err := placePorts(chip, a, cfg.SingleOutputPort); err != nil {
-		return nil, fmt.Errorf("core: port placement on %s: %w", chip.Name, err)
-	}
-	s := cloneSchedule(&e.schedule, a, chip)
-	r := cloneRouting(&e.routing)
-	res := &Result{Assay: a, Chip: chip, Schedule: &s, Routing: &r}
-	cfg.Obs.Gauge("fppc_route_total_cycles").Set(float64(r.TotalCycles))
-	if tc := cfg.Router.Telemetry; tc != nil {
-		// Feed the collector the router-sourced counts a cold compile
-		// would have reported through its callbacks.
-		tc.RouterStall(r.StallCycles)
-		for i := 0; i < r.BufferReloc; i++ {
-			tc.RouterRelocation()
-		}
-	}
-	return res, nil
-}
-
-// cloneSchedule deep-copies a schedule, pointing it at the given assay
-// and chip (nil when storing into the cache).
-func cloneSchedule(s *scheduler.Schedule, a *dag.Assay, chip *arch.Chip) scheduler.Schedule {
-	cp := *s
-	cp.Assay = a
-	cp.Chip = chip
-	cp.Ops = append([]scheduler.BoundOp(nil), s.Ops...)
-	cp.Moves = append([]scheduler.Move(nil), s.Moves...)
-	cp.Droplets = append([]scheduler.DropletRef(nil), s.Droplets...)
-	return cp
-}
-
-// cloneRouting deep-copies a routing result. Program cycles are shared
-// by the clone (activations are immutable by the pins contract); the
-// cycle index itself is copied so appends never alias.
-func cloneRouting(r *router.Result) router.Result {
-	cp := *r
-	cp.Boundaries = append([]router.BoundaryResult(nil), r.Boundaries...)
-	cp.Events = append([]router.Event(nil), r.Events...)
-	cp.Program = r.Program.Clone()
-	return cp
-}
+// NewMemo returns an inert Memo; capacity is ignored.
+func NewMemo(capacity int) *Memo { return &Memo{} }

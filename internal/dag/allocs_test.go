@@ -39,20 +39,39 @@ func allocCeiling(t *testing.T, name string) float64 {
 }
 
 // TestAllocsCeilingCanonical is the canonicalization part of the
-// allocation ratchet: canonicalizing Protein Split 7 must stay under the
-// committed ceiling. The cone hashes and the partition refinement run in
-// a fixed set of buffers, so the count is dominated by the renumbered
-// copy's nodes and edge lists; a regression means per-node or per-round
-// scratch came back.
+// allocation ratchet: canonicalizing Protein Split 7, and certifying it
+// as a cache hit does, must stay under the committed ceilings. The cone
+// hashes and the partition refinement run in a fixed set of buffers,
+// so Canonical's count is dominated by the renumbered copy's nodes and
+// edge lists, and the certificate, which builds no copy, allocates a
+// few dozen times; a regression means per-node or per-round scratch
+// came back.
 func TestAllocsCeilingCanonical(t *testing.T) {
-	ceiling := allocCeiling(t, "canonical_protein7")
 	a := assays.ProteinSplit(7, assays.DefaultTiming())
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := a.Canonical(); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"canonical_protein7", func() error {
+			_, err := a.Canonical()
+			return err
+		}},
+		{"certificate_protein7", func() error {
+			id, err := a.Identify()
+			if err == nil {
+				_ = id.Certificate()
+			}
+			return err
+		}},
+	} {
+		ceiling := allocCeiling(t, c.name)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("%s = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", c.name, allocs, ceiling)
 		}
-	})
-	if allocs > ceiling {
-		t.Errorf("Canonical(Protein Split 7) = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", allocs, ceiling)
 	}
 }

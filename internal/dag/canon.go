@@ -3,6 +3,7 @@ package dag
 import (
 	"cmp"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
@@ -61,9 +62,18 @@ func (a *Assay) Relabeled(fn func(old string) string) *Assay {
 	return c
 }
 
-// CanonicalOrder returns a node ordering derived from the assay's
-// content rather than its insertion order, by partition refinement
-// with individualization:
+// Identity is an assay's structural identity, computed in one pass
+// over its cone keys: its canonical order, and from that order its
+// certificate, its fingerprint and its canonical form.
+type Identity struct {
+	a     *Assay
+	keys  [][sha256.Size]byte // cone keys, indexed by node ID
+	order []int               // canonical order: order[k] gets ID k
+	rank  []int               // inverse of order: node v gets ID rank[v]
+}
+
+// Identify validates the assay and computes its Identity. The canonical
+// order comes from partition refinement with individualization:
 //
 //   - The initial cells group nodes with equal cone keys (the per-node
 //     hashes the Fingerprint digests), ordered by key.
@@ -82,18 +92,101 @@ func (a *Assay) Relabeled(fn func(old string) string) *Assay {
 // cannot prove the assumption — some graphs have equitable cells whose
 // members are not automorphic — and where it fails, two numberings
 // canonicalize to different, equally valid, forms of the same graph.
-func (a *Assay) CanonicalOrder() ([]int, error) {
+// They then differ in certificate too, which costs a cache miss and
+// never a wrong hit.
+func (a *Assay) Identify() (*Identity, error) {
 	order, err := a.ValidateAndOrder()
 	if err != nil {
 		return nil, err
 	}
-	p := newPartition(a, a.coneKeys(order))
+	keys := a.coneKeys(order)
+	p := newPartition(a, keys)
 	p.refine()
 	for s := p.nextTied(); s >= 0; s = p.nextTied() {
 		p.individualize(s)
 		p.refine()
 	}
-	return p.elems, nil
+	return &Identity{a: a, keys: keys, order: p.elems, rank: p.pos}, nil
+}
+
+// Canonical returns the assay's canonical form (Identity.Canonical).
+func (a *Assay) Canonical() (*Assay, error) {
+	id, err := a.Identify()
+	if err != nil {
+		return nil, err
+	}
+	return id.Canonical(), nil
+}
+
+// Certificate returns the StructuralHash of the canonical form without
+// building that form. Equal certificates mean equal canonical forms, so
+// two assays that share a certificate compile to the same artifacts:
+// unlike the fingerprint, it is a sound compile-cache key.
+func (id *Identity) Certificate() string {
+	nodes := id.a.Nodes
+	h := sha256.New()
+	b := appendInt(appendString(nil, structuralHashVersion), len(nodes))
+	var kids []int
+	for _, v := range id.order {
+		n := nodes[v]
+		b = append(b, byte(n.Kind))
+		b = appendString(b, n.Fluid)
+		b = appendInt(b, n.Duration)
+		b = appendInt(b, len(n.Children))
+		kids = kids[:0]
+		for _, c := range n.Children {
+			kids = append(kids, id.rank[c])
+		}
+		slices.Sort(kids)
+		for _, c := range kids {
+			b = appendInt(b, c)
+		}
+		h.Write(b)
+		b = b[:0]
+	}
+	seen := map[string]bool{}
+	for _, v := range id.order {
+		n := nodes[v]
+		if n.Kind != Dispense || seen[n.Fluid] {
+			continue
+		}
+		seen[n.Fluid] = true
+		b = appendString(b, n.Fluid)
+		b = appendInt(b, id.a.ReservoirCount(n.Fluid))
+	}
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Fingerprint returns the assay's Fingerprint from the cone keys the
+// identity already holds. Cells start in key order and only ever split,
+// so the canonical order lists the keys sorted.
+func (id *Identity) Fingerprint() string {
+	sorted := make([][sha256.Size]byte, len(id.order))
+	for k, v := range id.order {
+		sorted[k] = id.keys[v]
+	}
+	return id.a.fingerprint(sorted)
+}
+
+// Canonical returns the assay renumbered into canonical order, with
+// every edge list sorted. Renumbered variants of one graph canonicalize
+// to structurally identical assays (automorphic nodes may swap labels),
+// so compiling the canonical form makes the whole synthesis pipeline
+// invariant to how the caller happened to number the DAG.
+func (id *Identity) Canonical() *Assay {
+	c, err := id.a.Renumbered(id.rank)
+	if err != nil {
+		panic(err) // unreachable: rank is a permutation by construction
+	}
+	// Edge lists are multisets to every consumer (the fingerprint hashes
+	// them sorted); pin their order too so automorphic siblings cannot
+	// leave a trace of the original numbering.
+	for _, n := range c.Nodes {
+		sort.Ints(n.Parents)
+		sort.Ints(n.Children)
+	}
+	return c
 }
 
 // partition is an ordered partition of an assay's nodes: elems lists
@@ -306,36 +399,4 @@ func (p *partition) individualize(s int) {
 	}
 	p.cells++
 	p.push(s)
-}
-
-// Canonical returns the assay renumbered into canonical order: the node
-// CanonicalOrder puts first gets ID 0, and so on. Renumbered
-// variants of one graph canonicalize to structurally identical assays
-// (automorphic nodes may swap labels), so compiling the canonical form
-// makes the whole synthesis pipeline invariant to how the caller
-// happened to number the DAG — the property the fingerprint-keyed
-// compile cache silently assumes.
-func (a *Assay) Canonical() (*Assay, error) {
-	ids, err := a.CanonicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	// ids[k] = old index that should land at new index k; Renumbered
-	// wants perm[old] = new.
-	perm := make([]int, len(ids))
-	for newID, oldID := range ids {
-		perm[oldID] = newID
-	}
-	c, err := a.Renumbered(perm)
-	if err != nil {
-		return nil, err
-	}
-	// Edge lists are multisets to every consumer (the fingerprint hashes
-	// them sorted); pin their order too so automorphic siblings cannot
-	// leave a trace of the original numbering.
-	for _, n := range c.Nodes {
-		sort.Ints(n.Parents)
-		sort.Ints(n.Children)
-	}
-	return c, nil
 }

@@ -317,3 +317,104 @@ func BenchmarkCanonical(b *testing.B) {
 		})
 	}
 }
+
+// certify computes the identity's certificate and fingerprint in one
+// pass and checks them against their definitions: the StructuralHash of
+// the canonical form and the standalone Fingerprint.
+func certify(t testing.TB, a *dag.Assay) string {
+	t.Helper()
+	id, err := a.Identify()
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	canon, err := a.Canonical()
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	cert := id.Certificate()
+	if want := canon.StructuralHash(); cert != want {
+		t.Fatalf("%s: certificate %s, StructuralHash of the canonical form %s", a.Name, cert, want)
+	}
+	fp, err := a.Fingerprint()
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	if got := id.Fingerprint(); got != fp {
+		t.Fatalf("%s: single-pass fingerprint %s, Fingerprint %s", a.Name, got, fp)
+	}
+	return cert
+}
+
+// TestIdentityMatchesDefinitions checks the single-pass certificate and
+// fingerprint on every canonicalization case and on a renumbered copy
+// of each, which must also keep the certificate: that is what makes a
+// renumbered resubmission a cache hit.
+func TestIdentityMatchesDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, a := range canonCases(t) {
+		cert := certify(t, a)
+		b, err := a.Renumbered(rng.Perm(a.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := certify(t, b); got != cert {
+			t.Fatalf("%s: renumbering changed the certificate", a.Name)
+		}
+	}
+}
+
+// TestCertificateSeparatesConeTwins pins the pair the fingerprint cannot
+// tell apart: same cones at every node, different canonical forms.
+func TestCertificateSeparatesConeTwins(t *testing.T) {
+	g1, g2 := assays.ConeTwins(assays.DefaultTiming())
+	fp1, err1 := g1.Fingerprint()
+	fp2, err2 := g2.Fingerprint()
+	if err1 != nil || err2 != nil || fp1 != fp2 {
+		t.Fatalf("fingerprints %s (%v), %s (%v); want one shared fingerprint", fp1, err1, fp2, err2)
+	}
+	if certify(t, g1) == certify(t, g2) {
+		t.Error("G1 and G2 share a certificate")
+	}
+}
+
+// FuzzCertificate checks the single-pass identity against its
+// definitions on random DAGs, from either generator, under random
+// renumberings.
+func FuzzCertificate(f *testing.F) {
+	f.Add(int64(1), uint8(20), false, int64(2))
+	f.Add(int64(7), uint8(90), true, int64(3))
+	f.Add(int64(42), uint8(150), true, int64(4))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, uniform bool, permSeed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		var a *dag.Assay
+		if uniform {
+			a = uniformRandom(rng, 10+int(size))
+		} else {
+			a = assays.Random(rng, 5+int(size), assays.DefaultTiming())
+		}
+		b, err := a.Renumbered(rand.New(rand.NewSource(permSeed)).Perm(a.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		certify(t, a)
+		certify(t, b)
+	})
+}
+
+// BenchmarkCertificate times what a cache hit spends on identity: the
+// cone keys, the canonical order and the certificate.
+func BenchmarkCertificate(b *testing.B) {
+	for _, levels := range []int{3, 5, 7} {
+		a := assays.ProteinSplit(levels, assays.DefaultTiming())
+		b.Run(fmt.Sprintf("protein%d", levels), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id, err := a.Identify()
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = id.Certificate()
+			}
+		})
+	}
+}

@@ -6,7 +6,7 @@ import "slices"
 // external test package, which pins the Table 1 fingerprints against it.
 const FingerprintVersion = fingerprintVersion
 
-// RefinedCells returns the seed cells CanonicalOrder starts from and
+// RefinedCells returns the seed cells Identify starts from and
 // the equitable partition its first refinement reaches, each as node
 // IDs cell by cell.
 func (a *Assay) RefinedCells() (seed, refined [][]int, err error) {

@@ -35,7 +35,11 @@ func (a *Assay) Fingerprint() (string, error) {
 	}
 	keys := a.coneKeys(order)
 	slices.SortFunc(keys, compareHashes)
+	return a.fingerprint(keys), nil
+}
 
+// fingerprint digests the sorted cone keys and the reservoir counts.
+func (a *Assay) fingerprint(keys [][sha256.Size]byte) string {
 	final := sha256.New()
 	writeString(final, fingerprintVersion)
 	writeInt(final, len(a.Nodes))
@@ -60,7 +64,7 @@ func (a *Assay) Fingerprint() (string, error) {
 		writeString(final, f)
 		writeInt(final, a.ReservoirCount(f))
 	}
-	return hex.EncodeToString(final.Sum(nil)), nil
+	return hex.EncodeToString(final.Sum(nil))
 }
 
 // coneKeys returns every node's structural key, indexed by node ID:

@@ -6,8 +6,8 @@ import (
 )
 
 // structuralHashVersion is bumped whenever the raw encoding changes, so
-// memoized compilations keyed by old hashes can never be served against
-// new ones.
+// compile-cache entries keyed by old certificates can never be served
+// against new ones.
 const structuralHashVersion = "fppc/dag-structural/v1"
 
 // StructuralHash returns a SHA-256 (hex) over the assay's raw structure
@@ -17,11 +17,11 @@ const structuralHashVersion = "fppc/dag-structural/v1"
 // Unlike Fingerprint, this hash is deliberately sensitive to node
 // numbering: the synthesis pipeline's tie-breaks consult node IDs, so
 // two renumberings of one graph can compile to different (equally
-// valid) artifacts. A compile memo keyed by StructuralHash therefore
-// only ever replays a result for an input the pipeline would have
-// treated identically — the soundness condition incremental
-// recompilation depends on. Labels and the assay name are excluded:
-// they appear in no compiled artifact.
+// valid) artifacts. Taken over the canonical form, which fixes the
+// numbering, it is the assay's certificate (Identity.Certificate): a
+// compile cache keyed by it only ever serves a result for an input the
+// pipeline would have treated identically. Labels and the assay name
+// are excluded: they appear in no compiled artifact.
 func (a *Assay) StructuralHash() string {
 	h := sha256.New()
 	writeString(h, structuralHashVersion)

@@ -35,14 +35,14 @@ func TestStructuralHashNumberingSensitive(t *testing.T) {
 	h := a.StructuralHash()
 	// Swap the two r-reservoir dispenses (IDs 0 and 1): the graph is
 	// isomorphic only up to labels, but the pipeline's id tie-breaks see
-	// a different input, so the memo key must differ.
+	// a different input, so the hash must differ.
 	perm := []int{1, 0, 2, 3, 4, 5}
 	b, err := a.Renumbered(perm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := b.StructuralHash(); got == h {
-		t.Errorf("renumbering left the structural hash unchanged (%s); the memo could replay a differently-numbered compile", h)
+		t.Errorf("renumbering left the structural hash unchanged (%s)", h)
 	}
 }
 

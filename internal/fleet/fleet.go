@@ -31,6 +31,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,6 +41,7 @@ import (
 	"fppc/internal/dag"
 	"fppc/internal/faults"
 	"fppc/internal/grid"
+	"fppc/internal/lru"
 	"fppc/internal/obs"
 )
 
@@ -64,12 +66,16 @@ type Config struct {
 // Fleet is the control plane. Create one with New; it is safe for
 // concurrent use.
 type Fleet struct {
-	mu     sync.Mutex
-	chips  map[string]*chip
-	order  []string // chip ids, sorted — the deterministic scan order
-	jobs   map[string]*Job
-	jobSeq int
-	clock  int64
+	mu    sync.Mutex
+	chips map[string]*chip
+	order []string // chip ids, sorted — the deterministic scan order
+	jobs  map[string]*Job
+	// jobOrder lists the jobs in jobs in submission order; retired lists
+	// the terminal ones in the order they ended, oldest first.
+	jobOrder []*Job
+	retired  []*Job
+	jobSeq   int
+	clock    int64
 
 	events    []Event
 	evSeq     int64
@@ -78,13 +84,7 @@ type Fleet struct {
 	kick chan struct{}
 
 	compileTimeout time.Duration
-	compiles       compileCache
-
-	// memo is the structural compile memo shared across chips and
-	// jobs: a migration or re-submission whose DAG is structurally
-	// identical to an earlier compile on a same-sized healthy chip
-	// replays the cached artifacts instead of resynthesizing.
-	memo *core.Memo
+	compiles       *lru.Cache[string, *compiled]
 
 	// reconMu serializes reconciliation passes; the state mutex mu is
 	// released around compiles so submissions and reads never block on
@@ -118,11 +118,10 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		chips:          make(map[string]*chip),
 		jobs:           make(map[string]*Job),
-		memo:           core.NewMemo(0),
 		maxEvents:      cfg.MaxEvents,
 		kick:           make(chan struct{}, 1),
 		compileTimeout: cfg.CompileTimeout,
-		compiles:       compileCache{entries: make(map[string]*compiled)},
+		compiles:       lru.New[string, *compiled](compileCacheEntries),
 		ob:             ob,
 		cPlaced:        ob.Counter("fppc_fleet_jobs_total", "outcome", "placed"),
 		cMigrated:      ob.Counter("fppc_fleet_jobs_total", "outcome", "migrated"),
@@ -182,7 +181,7 @@ type Job struct {
 
 	assay    *dag.Assay // canonical form of what currently runs (recovery assay after migration)
 	original string     // name of the originally submitted assay
-	fp       string
+	cert     string     // the canonical assay's StructuralHash: its compile-cache key
 
 	chipID     string
 	makespan   int
@@ -239,13 +238,6 @@ func (f *Fleet) Submit(a *dag.Assay, target string) (JobStatus, error) {
 				target, strings.Join(core.TargetNames(), ", "))
 		}
 	}
-	if err := a.Validate(); err != nil {
-		return JobStatus{}, err
-	}
-	fp, err := a.Fingerprint()
-	if err != nil {
-		return JobStatus{}, err
-	}
 	canon, err := a.Canonical()
 	if err != nil {
 		return JobStatus{}, err
@@ -259,9 +251,10 @@ func (f *Fleet) Submit(a *dag.Assay, target string) (JobStatus, error) {
 		state:    JobPending,
 		assay:    canon,
 		original: a.Name,
-		fp:       fp,
+		cert:     canon.StructuralHash(),
 	}
 	f.jobs[j.id] = j
+	f.jobOrder = append(f.jobOrder, j)
 	f.gPending.Set(float64(f.countLocked(JobPending)))
 	f.appendEventLocked(Event{Kind: EventSubmitted, Job: j.id, Detail: a.Name})
 	st := j.status()
@@ -315,14 +308,16 @@ func (f *Fleet) Tick(steps int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.clock += steps
-	for _, id := range f.jobOrderLocked() {
-		j := f.jobs[id]
-		if j.state != JobPlaced {
-			continue
+	// Collect first: completing a job can retire an older one out of
+	// jobOrder.
+	var done []*Job
+	for _, j := range f.jobOrder {
+		if j.state == JobPlaced && f.clock-j.placedAt >= int64(j.makespan) {
+			done = append(done, j)
 		}
-		if f.clock-j.placedAt >= int64(j.makespan) {
-			f.completeLocked(j)
-		}
+	}
+	for _, j := range done {
+		f.completeLocked(j)
 	}
 }
 
@@ -337,6 +332,26 @@ func (f *Fleet) completeLocked(j *Job) {
 	f.nCompleted++
 	f.gRunning.Set(float64(f.countLocked(JobPlaced)))
 	f.appendEventLocked(Event{Kind: EventCompleted, Job: j.id, Chip: j.chipID})
+	f.retireLocked(j)
+}
+
+// maxRetiredJobs bounds the completed and failed jobs the fleet keeps
+// for status queries. Past it the job that ended longest ago is
+// forgotten, and looking it up reports an unknown job.
+const maxRetiredJobs = 1024
+
+// retireLocked records that j reached a terminal state, forgetting the
+// oldest terminal job once more than maxRetiredJobs are kept.
+func (f *Fleet) retireLocked(j *Job) {
+	f.retired = append(f.retired, j)
+	if len(f.retired) <= maxRetiredJobs {
+		return
+	}
+	old := f.retired[0]
+	f.retired = slices.Delete(f.retired, 0, 1)
+	delete(f.jobs, old.id)
+	i := slices.Index(f.jobOrder, old)
+	f.jobOrder = slices.Delete(f.jobOrder, i, i+1)
 }
 
 // AdvanceWear injects seeded synthetic wear into one chip — `cycles`
@@ -380,9 +395,9 @@ func (f *Fleet) Job(id string) (JobStatus, bool) {
 func (f *Fleet) Jobs() []JobStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]JobStatus, 0, len(f.jobs))
-	for _, id := range f.jobOrderLocked() {
-		out = append(out, f.jobs[id].status())
+	out := make([]JobStatus, 0, len(f.jobOrder))
+	for _, j := range f.jobOrder {
+		out = append(out, j.status())
 	}
 	return out
 }
@@ -404,17 +419,6 @@ func (f *Fleet) Counts() (placed, migrated, failed, completed int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.nPlaced, f.nMigrated, f.nFailed, f.nCompleted
-}
-
-// jobOrderLocked returns job ids in submission order (the ids embed the
-// submission sequence, so lexical order is submission order).
-func (f *Fleet) jobOrderLocked() []string {
-	ids := make([]string, 0, len(f.jobs))
-	for id := range f.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 func (f *Fleet) countLocked(st JobState) int {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fppc/internal/core"
 	"fppc/internal/dag"
@@ -23,8 +22,6 @@ import (
 // checks), the operation schedule spans (locating work in flight), and
 // the oracle's verdict on the destination chip.
 type compiled struct {
-	done chan struct{} // closed when the compile finishes
-
 	err       error // terminal compile error (unsynthesizable etc.)
 	snap      *telemetry.Snapshot
 	used      map[grid.Cell]bool
@@ -35,44 +32,33 @@ type compiled struct {
 	mode      string // oracle mode: "frames" (fppc program) or "schedule"
 }
 
-// compileCache memoizes fleet compiles by (assay, chip spec, fault
-// spec). Compilation is deterministic over canonical assays, so an
-// entry never goes stale; concurrent requests for the same key share
-// one compile via the done channel. Cancelled compiles are evicted so a
-// timeout does not poison the key.
-type compileCache struct {
-	mu      sync.Mutex
-	entries map[string]*compiled
+// compileCacheEntries bounds the fleet's compile cache. Every wear step
+// mints new fault-spec keys, so the cache must evict; one round of the
+// 5-chip benchmark scenario peaks at 108 entries.
+const compileCacheEntries = 256
+
+// compileKey names a compile by the certificate of the canonical assay,
+// the chip spec and the chip's effective fault spec.
+func compileKey(cert string, spec ChipSpec, faultSpec string) string {
+	return fmt.Sprintf("%s|%s|h%d|%dx%d|%s", cert, spec.Target, spec.Height, spec.W, spec.H, faultSpec)
 }
 
-func compileKey(fp string, spec ChipSpec, faultSpec string) string {
-	return fmt.Sprintf("%s|%s|h%d|%dx%d|%s", fp, spec.Target, spec.Height, spec.W, spec.H, faultSpec)
-}
-
-// compileFor synthesizes the assay for the chip (or returns the
-// memoized outcome). The fault set must be the one faultSpec renders.
-func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, fp string, spec ChipSpec, set *faults.Set, faultSpec string) *compiled {
-	key := compileKey(fp, spec, faultSpec)
-	f.compiles.mu.Lock()
-	if e := f.compiles.entries[key]; e != nil {
-		f.compiles.mu.Unlock()
-		<-e.done
+// compileFor synthesizes the assay for the chip, or returns the cached
+// outcome. Compilation is deterministic over canonical assays, so an
+// entry never goes stale; a cancelled compile is not cached, so a
+// timeout does not poison the key. The fault set must be the one
+// faultSpec renders.
+func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, cert string, spec ChipSpec, set *faults.Set, faultSpec string) *compiled {
+	key := compileKey(cert, spec, faultSpec)
+	if e, ok := f.compiles.Get(key); ok {
 		return e
 	}
-	e := &compiled{done: make(chan struct{})}
-	f.compiles.entries[key] = e
-	f.compiles.mu.Unlock()
-
 	cctx, cancel := context.WithTimeout(ctx, f.compileTimeout)
-	f.runCompile(cctx, e, assay, spec, set)
-	cancel()
-	if e.err != nil && isCanceled(e.err) {
-		// Don't memoize a deadline as if the chip were infeasible.
-		f.compiles.mu.Lock()
-		delete(f.compiles.entries, key)
-		f.compiles.mu.Unlock()
+	defer cancel()
+	e := f.runCompile(cctx, assay, spec, set)
+	if !isCanceled(e.err) {
+		f.compiles.Put(key, e)
 	}
-	close(e.done)
 	return e
 }
 
@@ -80,9 +66,9 @@ func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, fp string, spe
 // simulator replays the pin program when the target emits one), and
 // verifies the result with the independent oracle under known-fault
 // injection.
-func (f *Fleet) runCompile(ctx context.Context, e *compiled, assay *dag.Assay, spec ChipSpec, set *faults.Set) {
+func (f *Fleet) runCompile(ctx context.Context, assay *dag.Assay, spec ChipSpec, set *faults.Set) *compiled {
+	e := &compiled{}
 	cfg := coreConfig(spec, set)
-	cfg.Memo = f.memo
 	tc := telemetry.New()
 	cfg.Router.Telemetry = tc
 	if tspec, ok := core.LookupTargetName(spec.Target); ok && tspec.Capabilities.PinProgram {
@@ -94,7 +80,7 @@ func (f *Fleet) runCompile(ctx context.Context, e *compiled, assay *dag.Assay, s
 	res, err := core.CompileContext(ctx, assay, cfg)
 	if err != nil {
 		e.err = err
-		return
+		return e
 	}
 	tc.AttachSchedule(res.Schedule)
 	if prog := res.Routing.Program; prog != nil {
@@ -122,13 +108,14 @@ func (f *Fleet) runCompile(ctx context.Context, e *compiled, assay *dag.Assay, s
 	}
 	if _, err := oracle.VerifyCompiled(res, opts); err != nil {
 		e.verifyErr = err
-		return
+		return e
 	}
 	e.verified = true
 	e.mode = "schedule"
 	if res.Routing.Program != nil {
 		e.mode = "frames"
 	}
+	return e
 }
 
 // feasible reports whether the compile produced a usable, verified
@@ -240,7 +227,7 @@ type candidate struct {
 // `exclude`) and returns the best feasible candidate, or nil with the
 // per-chip rejection reasons. A context abort surfaces as an error so
 // the reconciler can stop the pass instead of failing the job.
-func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, fp, target string, views []chipView, exclude string) (*candidate, []string, error) {
+func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, cert, target string, views []chipView, exclude string) (*candidate, []string, error) {
 	var best *candidate
 	var reasons []string
 	for _, v := range views {
@@ -253,7 +240,7 @@ func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, fp, target strin
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		comp := f.compileFor(ctx, assay, fp, v.spec, v.effective, v.effSpec)
+		comp := f.compileFor(ctx, assay, cert, v.spec, v.effective, v.effSpec)
 		if !comp.feasible() {
 			if comp.err != nil && isCanceled(comp.err) {
 				return nil, nil, comp.err

@@ -58,15 +58,11 @@ func TestPlacerNeverPicksInfeasibleChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := assays.PCR(tm).Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
 			feasible := map[string]bool{}
 			anyFeasible := false
 			for _, id := range f.order {
 				c := f.chips[id]
-				e := f.compileFor(context.Background(), canon, fp, c.spec, c.effective, c.effSpec)
+				e := f.compileFor(context.Background(), canon, canon.StructuralHash(), c.spec, c.effective, c.effSpec)
 				feasible[id] = e.feasible()
 				anyFeasible = anyFeasible || e.feasible()
 			}

@@ -32,7 +32,7 @@ type Stats struct {
 type workItem struct {
 	id     string
 	assay  *dag.Assay
-	fp     string
+	cert   string
 	target string
 }
 
@@ -60,18 +60,17 @@ func (f *Fleet) Reconcile(ctx context.Context) Stats {
 	f.mu.Lock()
 	var pending []workItem
 	var invalid []migrationItem
-	for _, id := range f.jobOrderLocked() {
-		j := f.jobs[id]
+	for _, j := range f.jobOrder {
 		switch j.state {
 		case JobPending:
-			pending = append(pending, workItem{id: id, assay: j.assay, fp: j.fp, target: j.target})
+			pending = append(pending, workItem{id: j.id, assay: j.assay, cert: j.cert, target: j.target})
 		case JobPlaced:
 			c := f.chips[j.chipID]
 			if c == nil || c.effSpec == j.faultSpec || !f.placementInvalidLocked(j, c) {
 				continue
 			}
 			invalid = append(invalid, migrationItem{
-				id: id, assay: j.assay, target: j.target,
+				id: j.id, assay: j.assay, target: j.target,
 				from: j.chipID, spans: j.spans, progress: f.clock - j.placedAt,
 			})
 		}
@@ -123,7 +122,7 @@ func (f *Fleet) placePending(ctx context.Context, w workItem, st *Stats) error {
 	f.mu.Lock()
 	views := f.viewsLocked()
 	f.mu.Unlock()
-	cand, reasons, err := f.evaluate(ctx, w.assay, w.fp, w.target, views, "")
+	cand, reasons, err := f.evaluate(ctx, w.assay, w.cert, w.target, views, "")
 	if err != nil {
 		return err
 	}
@@ -177,28 +176,24 @@ func (f *Fleet) migrate(ctx context.Context, m migrationItem, st *Stats) error {
 		f.failMigration(m, st, fmt.Sprintf("recovery plan: %v", err))
 		return nil
 	}
-	planFP, err := plan.Assay.Fingerprint()
-	if err != nil {
-		f.failMigration(m, st, fmt.Sprintf("recovery fingerprint: %v", err))
-		return nil
-	}
 	planCanon, err := plan.Assay.Canonical()
 	if err != nil {
 		f.failMigration(m, st, fmt.Sprintf("recovery canonicalize: %v", err))
 		return nil
 	}
+	planCert := planCanon.StructuralHash()
 
 	f.mu.Lock()
 	views := f.viewsLocked()
 	f.mu.Unlock()
-	cand, reasons, err := f.evaluate(ctx, planCanon, planFP, m.target, views, m.from)
+	cand, reasons, err := f.evaluate(ctx, planCanon, planCert, m.target, views, m.from)
 	if err != nil {
 		return err
 	}
 	if cand == nil {
 		// Last resort: resynthesize on the degraded source chip itself.
 		var inPlace, rest []string
-		cand, inPlace, err = f.evaluate(ctx, planCanon, planFP, m.target, filterViews(views, m.from), "")
+		cand, inPlace, err = f.evaluate(ctx, planCanon, planCert, m.target, filterViews(views, m.from), "")
 		if err != nil {
 			return err
 		}
@@ -226,7 +221,7 @@ func (f *Fleet) migrate(ctx context.Context, m migrationItem, st *Stats) error {
 		src.gJobs.Set(float64(len(src.jobs)))
 	}
 	j.assay = planCanon
-	j.fp = planFP
+	j.cert = planCert
 	j.migrations++
 	f.bindLocked(j, dest, cand)
 	f.cMigrated.Inc()
@@ -267,6 +262,7 @@ func (f *Fleet) failLocked(j *Job, detail string) {
 	f.gPending.Set(float64(f.countLocked(JobPending)))
 	f.gRunning.Set(float64(f.countLocked(JobPlaced)))
 	f.appendEventLocked(Event{Kind: EventFailed, Job: j.id, Chip: j.chipID, Detail: detail})
+	f.retireLocked(j)
 }
 
 // bindLocked attaches a compiled placement to the job and charges the

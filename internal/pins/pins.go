@@ -53,16 +53,6 @@ func (p *Program) Append(pins ...int) {
 // must not mutate it.
 func (p *Program) Cycle(i int) Activation { return p.cycles[i] }
 
-// Clone returns a program that can be appended to independently of the
-// original. The per-cycle activations are shared — they are immutable by
-// the Cycle contract — so a clone is cheap even for long programs.
-func (p *Program) Clone() *Program {
-	if p == nil {
-		return nil
-	}
-	return &Program{cycles: append([]Activation(nil), p.cycles...)}
-}
-
 // ActiveCells expands an activation into the set of energized electrodes
 // on the chip.
 func ActiveCells(c *arch.Chip, act Activation) map[grid.Cell]bool {

@@ -90,9 +90,7 @@ type Result struct {
 	// benchmarks; see supplemental S3).
 	BufferReloc int
 	// StallCycles totals the cycles droplets waited on clearance or
-	// transit conflicts (DA router). Kept on the result so memoized
-	// replays can feed telemetry collectors the same counts a cold
-	// compile would have reported.
+	// transit conflicts (DA router).
 	StallCycles int
 	Program     *pins.Program // non-nil when Options.EmitProgram
 	Events      []Event       // reservoir actions aligned to program cycles

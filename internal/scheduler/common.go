@@ -18,9 +18,10 @@ type Opts struct {
 	Obs *obs.Observer
 	// Workers bounds the concurrency of the scheduler's independent
 	// precomputation passes (priorities, depth ranks, expansion
-	// analysis, droplet enumeration). <= 1 runs them sequentially. The
-	// main list-scheduling loop is inherently sequential either way, so
-	// the schedule is byte-identical for every worker count.
+	// analysis, droplet enumeration): 1 runs them sequentially, 0 or
+	// less on GOMAXPROCS workers (pool.New). The main list-scheduling
+	// loop is inherently sequential either way, so the schedule is
+	// byte-identical for every worker count.
 	Workers int
 }
 

@@ -70,9 +70,11 @@ type CompileRequest struct {
 
 	// Trace returns the compile's request-scoped trace inline: the
 	// response trace field carries Chrome trace_event JSON (loadable in
-	// chrome://tracing or Perfetto). For cached or deduplicated results
-	// this is the trace of the compile that produced the entry, not of
-	// this request. Trace does not affect the cache key.
+	// chrome://tracing or Perfetto). Trace does not affect the cache
+	// key, and a cache entry keeps the trace only when the request that
+	// compiled it set trace too: a cached or deduplicated result carries
+	// that compile's trace, or none. The journal entry of the compiling
+	// request (GET /debug/requests/{id}) always holds it.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -168,27 +170,31 @@ func badRequest(format string, args ...any) error {
 }
 
 // job is a fully validated compile request: the parsed assay as
-// submitted, its fingerprint, the core config, and the cache key
-// binding them.
+// submitted, its identity, the core config, and the cache key binding
+// them.
 type job struct {
 	assay    *dag.Assay
+	ident    *dag.Identity
 	cfg      core.Config
 	req      CompileRequest
-	fp       string
 	cacheKey string
 	verify   bool
 	faults   *faults.Set
-	// canonD is the request's canonicalize stage: the fingerprint, plus
-	// the canonical form when this request runs the compile.
+	// fp is the fingerprint the reply reports: derived from ident by the
+	// request that runs the compile, taken from the entry by the others.
+	fp string
+	// canonD is the request's canonicalize stage: the identity and its
+	// certificate, plus the canonical form and the fingerprint when this
+	// request runs the compile.
 	canonD time.Duration
 }
 
 // entry is a cached compile outcome: the response with the per-request
 // fields zeroed, plus the request-scoped trace of the compile that
-// built it (served inline for "trace": true requests). The cache key
-// leaves out the assay name, so resp.Assay stays empty and summary
-// holds the compile summary after the name; each request fills both
-// from its own name.
+// built it when that request asked for one (served inline for
+// "trace": true requests). The cache key leaves out the assay name, so
+// resp.Assay stays empty and summary holds the compile summary after
+// the name; each request fills both from its own name.
 type entry struct {
 	resp    CompileResponse
 	summary string
@@ -221,8 +227,8 @@ func parseAssayInput(aslText string, raw json.RawMessage) (*dag.Assay, error) {
 }
 
 // prepare validates the request into a job, timing the parse stage
-// onto the journal entry and its histogram. It fingerprints the assay
-// for the cache key but leaves the canonical form to the request that
+// onto the journal entry and its histogram. It keys the cache by the
+// assay's certificate but leaves the canonical form to the request that
 // runs the compile, so a cache hit never builds one.
 func (s *Server) prepare(req CompileRequest, rec *journal.Entry) (*job, error) {
 	tParse := time.Now()
@@ -277,23 +283,25 @@ func (s *Server) prepare(req CompileRequest, rec *journal.Entry) (*job, error) {
 		}
 	}
 
-	tFP := time.Now()
-	fp, err := assay.Fingerprint()
+	tCanon := time.Now()
+	ident, err := assay.Identify()
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	dFP := time.Since(tFP)
-	rec.SetAssay(assay.Name, fp, req.Target, faultSet.String())
+	cert := ident.Certificate()
+	dCanon := time.Since(tCanon)
 	verify := req.Verify || s.cfg.ForceVerify
-	// The key leaves out the assay name, which no compiled artifact
-	// depends on: a renamed resubmission is a hit. The fault component
-	// uses the set's canonical String (sorted, deduplicated), so
-	// "open@5,2; dead#7" and "dead#7;open@5,2" share a cache entry.
+	// The certificate names the canonical form, which the compile runs
+	// on, and leaves out the assay name and labels, which no compiled
+	// artifact depends on: a renamed, relabeled or renumbered
+	// resubmission is a hit. The fault component uses the set's
+	// canonical String (sorted, deduplicated), so "open@5,2; dead#7" and
+	// "dead#7;open@5,2" share a cache entry.
 	key := fmt.Sprintf("%s|%s|h%d|da%dx%d|grow%t|single%t|det%d|seq%t|rot%d|verify%t|faults:%s",
-		fp, req.Target, req.Height, req.DAWidth, req.DAHeight,
+		cert, req.Target, req.Height, req.DAWidth, req.DAHeight,
 		req.Grow, req.SingleOutputPort, req.DetectorCount, req.Sequence, req.RotationsPerStep, verify,
 		faultSet.String())
-	return &job{assay: assay, cfg: cfg, req: req, fp: fp, cacheKey: key, verify: verify, faults: faultSet, canonD: dFP}, nil
+	return &job{assay: assay, ident: ident, cfg: cfg, req: req, cacheKey: key, verify: verify, faults: faultSet, canonD: dCanon}, nil
 }
 
 // verificationError marks a compile whose result failed the oracle — a

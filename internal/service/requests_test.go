@@ -110,9 +110,14 @@ func TestJournalDetailCarriesChromeTrace(t *testing.T) {
 	}
 }
 
+// TestCompileInlineTraceOption covers "trace": true. A cache entry keeps
+// its compile's spans only when the compiling request asked for a
+// trace: a traced hit on such an entry returns that trace, a traced hit
+// on an entry compiled without one returns none, and the compiling
+// request's journal entry holds the spans either way.
 func TestCompileInlineTraceOption(t *testing.T) {
 	_, ts := newTestServer(t)
-	var traced CompileResponse
+	var traced, plain, tracedHit CompileResponse
 	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, Trace: true}, &traced); code != http.StatusOK {
 		t.Fatalf("compile: HTTP %d", code)
 	}
@@ -123,12 +128,36 @@ func TestCompileInlineTraceOption(t *testing.T) {
 	if err := json.Unmarshal(traced.Trace, &events); err != nil || len(events) == 0 {
 		t.Fatalf("inline trace invalid: %v", err)
 	}
-	var plain CompileResponse
 	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL}, &plain); code != http.StatusOK {
 		t.Fatalf("compile: HTTP %d", code)
 	}
 	if len(plain.Trace) != 0 {
 		t.Error("trace returned without trace:true")
+	}
+	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, Trace: true}, &tracedHit); code != http.StatusOK {
+		t.Fatalf("compile: HTTP %d", code)
+	}
+	if !tracedHit.Cached || !bytes.Equal(tracedHit.Trace, traced.Trace) {
+		t.Errorf("traced hit (cached %t) does not carry the traced compile's trace", tracedHit.Cached)
+	}
+
+	var untraced, lateTrace CompileResponse
+	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, Target: "da"}, &untraced); code != http.StatusOK {
+		t.Fatalf("compile: HTTP %d", code)
+	}
+	if code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, Target: "da", Trace: true}, &lateTrace); code != http.StatusOK {
+		t.Fatalf("compile: HTTP %d", code)
+	}
+	if !lateTrace.Cached || len(lateTrace.Trace) != 0 {
+		t.Errorf("traced hit on an entry compiled without trace: cached %t, %d trace bytes; want a hit without trace",
+			lateTrace.Cached, len(lateTrace.Trace))
+	}
+	var det RequestDetail
+	if code := get(t, ts.URL+"/debug/requests/"+untraced.RequestID, &det); code != http.StatusOK {
+		t.Fatalf("detail: HTTP %d", code)
+	}
+	if len(det.Trace) == 0 {
+		t.Error("the untraced compile's journal entry holds no trace")
 	}
 }
 

@@ -15,13 +15,13 @@
 // GET /debug/fleet, and POST /debug/fleet/degrade.
 //
 // Under the hood the server runs a bounded worker pool, a
-// content-addressed LRU cache keyed by the assay's dag fingerprint plus
-// its configuration, singleflight deduplication of identical in-flight
-// requests, and per-request deadlines made real by core.CompileContext's
-// cooperative cancellation. This is the layer that turns the batch CLI
-// reproduction into a servable system: a lab tool resubmits protocols
-// against one pre-manufactured FPPC chip and gets pin programs back in
-// milliseconds once warm.
+// content-addressed LRU cache keyed by the certificate of the assay's
+// canonical form plus its configuration, singleflight deduplication of
+// identical in-flight requests, and per-request deadlines made real by
+// core.CompileContext's cooperative cancellation. This is the layer
+// that turns the batch CLI reproduction into a servable system: a lab
+// tool resubmits protocols against one pre-manufactured FPPC chip and
+// gets pin programs back in milliseconds once warm.
 //
 // Request lifecycle observability: each compile request gets a unique
 // id (echoed as X-Request-Id, in the response body, in the structured
@@ -53,6 +53,7 @@ import (
 	"fppc/internal/core"
 	"fppc/internal/fleet"
 	"fppc/internal/journal"
+	"fppc/internal/lru"
 	"fppc/internal/obs"
 	"fppc/internal/perf"
 	"fppc/internal/telemetry"
@@ -64,16 +65,16 @@ type Config struct {
 	// Workers bounds concurrent compilations (default: GOMAXPROCS).
 	Workers int
 	// CompileWorkers bounds the intra-compile concurrency each request
-	// may use (core.Config.Workers: scheduler precompute passes, DA
-	// path searches). 0 keeps compiles sequential — the right default
-	// when Workers already saturates the host. Artifacts are
-	// byte-identical for every value.
+	// may use (core.Config.Workers): the scheduler's precompute passes
+	// run on that many workers, GOMAXPROCS when 0, and the DA router's
+	// path searches fan out only above 1. Artifacts are byte-identical
+	// for every value.
 	CompileWorkers int
 	// CacheEntries bounds the compile cache (default 256).
 	CacheEntries int
 	// MemoEntries is ignored. The response cache is the server's only
-	// compile store: its key is the numbering-invariant fingerprint and
-	// leaves out the assay name, so relabeled, renumbered and renamed
+	// compile store: its key is the certificate of the canonical form
+	// and leaves out the assay name, so relabeled, renumbered and renamed
 	// resubmissions are hits. The field stays for callers that set it.
 	MemoEntries int
 	// DefaultTimeout applies when a request names no timeout_ms
@@ -128,7 +129,7 @@ type Server struct {
 	cfg     Config
 	ob      *obs.Observer
 	sem     chan struct{}
-	cache   *lruCache
+	cache   *lru.Cache[string, *entry]
 	flight  *group
 	queued  atomic.Int64
 	start   time.Time
@@ -216,7 +217,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		ob:      ob,
 		sem:     make(chan struct{}, cfg.Workers),
-		cache:   newLRUCache(cfg.CacheEntries),
+		cache:   lru.New[string, *entry](cfg.CacheEntries),
 		flight:  newGroup(),
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
@@ -497,6 +498,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	e, outcome, err := s.compile(ctx, j, rec)
+	if e != nil {
+		j.fp = e.resp.Fingerprint
+	} else if j.fp == "" { // failed before the compile derived it
+		j.fp = j.ident.Fingerprint()
+	}
+	rec.SetAssay(j.assay.Name, j.fp, j.req.Target, j.faults.String())
 	rec.SetOutcome(outcome)
 	rec.SetStage(journal.StageCanonicalize, j.canonD)
 	s.hStage[journal.StageCanonicalize].Observe(j.canonD.Seconds())
@@ -533,7 +540,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // a fresh compilation on the worker pool — in that order — and reports
 // which of the three happened as a journal outcome.
 func (s *Server) compile(ctx context.Context, j *job, rec *journal.Entry) (*entry, string, error) {
-	if e, ok := s.cache.get(j.cacheKey); ok {
+	if e, ok := s.cache.Get(j.cacheKey); ok {
 		s.cHits.Inc()
 		return e, journal.OutcomeHit, nil
 	}
@@ -575,16 +582,14 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 	defer func() { <-s.sem }()
 
 	// Compile the canonical form, not the submitted numbering. Raw
-	// compilation is sensitive to node IDs (scheduler tie-breaks), while
-	// the cache is keyed by the numbering-invariant fingerprint — without
-	// canonicalization a cache hit could return a different program than
-	// the cold compile of the same request would have.
+	// compilation is sensitive to node IDs (scheduler tie-breaks); the
+	// cache key is the canonical form's certificate, so a hit returns
+	// exactly what the cold compile of the same request would have.
+	// The reply's fingerprint comes from the same pass.
 	tCanon := time.Now()
-	canon, err := j.assay.Canonical()
+	canon := j.ident.Canonical()
+	j.fp = j.ident.Fingerprint()
 	j.canonD += time.Since(tCanon)
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
 	s.gInflight.Set(float64(len(s.sem)))
 	s.cCompiles.Inc()
 	tc := telemetry.New()
@@ -624,7 +629,9 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 		s.cFaultResynth.Inc()
 	}
 	e := j.buildEntry(res)
-	e.spans = spans
+	if j.req.Trace {
+		e.spans = spans
+	}
 	if j.verify {
 		tv := time.Now()
 		vi, verr := j.runVerify(res)
@@ -638,7 +645,7 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 		e.resp.Verification = vi
 	}
 	s.collectTelemetry(j, res, tc)
-	s.cache.put(j.cacheKey, e)
+	s.cache.Put(j.cacheKey, e)
 	return e, nil
 }
 
@@ -778,7 +785,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.cfg.Workers,
 		QueueDepth:    s.queued.Load(),
-		CacheEntries:  s.cache.len(),
+		CacheEntries:  s.cache.Len(),
 	})
 }
 

@@ -432,25 +432,6 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // The LRU must evict the oldest entry once capacity is exceeded.
-func TestCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", &entry{})
-	c.put("b", &entry{})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing before eviction")
-	}
-	c.put("c", &entry{}) // evicts b (a was just touched)
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a evicted despite recent use")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-}
-
 // Server timeouts cap client-requested ones.
 func TestMaxTimeoutCapsRequest(t *testing.T) {
 	s := New(Config{Workers: 1, MaxTimeout: time.Millisecond})

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fppc/internal/assays"
+	"fppc/internal/dag"
 )
 
 // TestVerifyOption exercises the verify flag on both targets: the
@@ -65,54 +66,73 @@ func TestForceVerify(t *testing.T) {
 }
 
 // TestCacheHitEqualsColdCompile is the service-level metamorphic check:
-// submitting a renumbered copy of a cached assay must (a) hit the cache
-// — the fingerprint is numbering-invariant — and (b) return exactly
-// what a cold compile of that renumbered copy on a fresh server would
-// have returned. Both hold only because prepare() canonicalizes the DAG
-// before compiling; without that the fingerprint-keyed cache would
-// serve a subtly different program than the cold path.
+// a request sent to a server that already compiled another form of the
+// assay must return exactly what a cold compile of that request on a
+// fresh server returns, served from the cache when the two share a
+// canonical form and compiled afresh when they do not. A renumbered
+// copy hits: the certificate of the canonical form does not see the
+// numbering. The cone twins G1 and G2 share a fingerprint but not a
+// canonical form, so G2 after G1 must miss; a fingerprint-keyed cache
+// served G2 with G1's program.
 func TestCacheHitEqualsColdCompile(t *testing.T) {
-	a := assays.PCR(assays.DefaultTiming())
-	twin, err := a.Renumbered(rand.New(rand.NewSource(9)).Perm(a.Len()))
+	tm := assays.DefaultTiming()
+	pcr := assays.PCR(tm)
+	twin, err := pcr.Renumbered(rand.New(rand.NewSource(9)).Perm(pcr.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawA, _ := json.Marshal(a)
-	rawTwin, _ := json.Marshal(twin)
-	req := func(raw []byte) CompileRequest {
-		return CompileRequest{DAG: json.RawMessage(raw), Sequence: true, RotationsPerStep: 1}
-	}
+	g1, g2 := assays.ConeTwins(tm)
+	for _, tc := range []struct {
+		name        string
+		warm, probe *dag.Assay
+		hit         bool
+	}{
+		{"renumbered PCR", pcr, twin, true},
+		{"cone twins", g1, g2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := func(a *dag.Assay) CompileRequest {
+				raw, err := json.Marshal(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return CompileRequest{DAG: raw, Sequence: true, RotationsPerStep: 1, Verify: true}
+			}
+			sWarm, tsWarm := newTestServer(t)
+			var first, got CompileResponse
+			if code := post(t, tsWarm.URL, req(tc.warm), &first); code != http.StatusOK {
+				t.Fatalf("warm-up: HTTP %d", code)
+			}
+			if code := post(t, tsWarm.URL, req(tc.probe), &got); code != http.StatusOK {
+				t.Fatalf("probe: HTTP %d", code)
+			}
+			if got.Cached != tc.hit {
+				t.Fatalf("probe cached = %t, want %t", got.Cached, tc.hit)
+			}
+			wantHits := int64(0)
+			if tc.hit {
+				wantHits = 1
+			}
+			if hits := sWarm.cHits.Value(); hits != wantHits {
+				t.Errorf("cache hits = %d, want %d", hits, wantHits)
+			}
 
-	sWarm, tsWarm := newTestServer(t)
-	var first, hit CompileResponse
-	if code := post(t, tsWarm.URL, req(rawA), &first); code != http.StatusOK {
-		t.Fatalf("warm-up: HTTP %d", code)
-	}
-	if code := post(t, tsWarm.URL, req(rawTwin), &hit); code != http.StatusOK {
-		t.Fatalf("renumbered: HTTP %d", code)
-	}
-	if !hit.Cached {
-		t.Fatal("renumbered twin missed the cache despite an identical fingerprint")
-	}
-	if got := sWarm.cHits.Value(); got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
-	}
-
-	_, tsCold := newTestServer(t)
-	var cold CompileResponse
-	if code := post(t, tsCold.URL, req(rawTwin), &cold); code != http.StatusOK {
-		t.Fatalf("cold: HTTP %d", code)
-	}
-
-	// The hit and the cold compile must agree on everything but the
-	// per-request fields.
-	hit.Cached, cold.Cached = false, false
-	hit.ElapsedMS, cold.ElapsedMS = 0, 0
-	hit.RequestID, cold.RequestID = "", ""
-	if !reflect.DeepEqual(hit, cold) {
-		t.Errorf("cache hit differs from cold compile:\nhit:  %+v\ncold: %+v", hit, cold)
-	}
-	if !reflect.DeepEqual(hit.Sequence, cold.Sequence) {
-		t.Error("cached pin program differs from cold compile")
+			_, tsCold := newTestServer(t)
+			var cold CompileResponse
+			if code := post(t, tsCold.URL, req(tc.probe), &cold); code != http.StatusOK {
+				t.Fatalf("cold: HTTP %d", code)
+			}
+			// The two must agree on everything but the per-request fields.
+			got.Cached, cold.Cached = false, false
+			got.ElapsedMS, cold.ElapsedMS = 0, 0
+			got.RequestID, cold.RequestID = "", ""
+			if !reflect.DeepEqual(got, cold) {
+				t.Errorf("probe differs from its cold compile:\nprobe: %+v\ncold:  %+v", got, cold)
+			}
+			if tc.warm == g1 && (first.Fingerprint != got.Fingerprint || first.Stats.RouteCycles == got.Stats.RouteCycles) {
+				t.Errorf("G1 and G2: fingerprints %s/%s, route cycles %d/%d; want one fingerprint and two cycle counts",
+					first.Fingerprint, got.Fingerprint, first.Stats.RouteCycles, got.Stats.RouteCycles)
+			}
+		})
 	}
 }
