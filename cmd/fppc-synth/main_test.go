@@ -121,7 +121,7 @@ func TestRunTraceMetricsVerbose(t *testing.T) {
 	}
 	for _, frag := range []string{
 		"fppc_router_retries_total 0",
-		`fppc_stage_duration_seconds{stage="route"}`,
+		`fppc_router_bus_cycles_total{phase="transport"}`,
 		"fppc_sched_timesteps",
 	} {
 		if !strings.Contains(string(mp), frag) {

@@ -235,6 +235,14 @@ func (e *ErrCanceled) Error() string {
 
 func (e *ErrCanceled) Unwrap() error { return e.Err }
 
+// IsCanceled reports whether err stems from a context abort: the typed
+// *ErrCanceled, or a bare context.Canceled or DeadlineExceeded.
+func IsCanceled(err error) bool {
+	var ce *ErrCanceled
+	return errors.As(err, &ce) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // Compile runs the full flow. With AutoGrow it retries on
 // ErrInsufficientResources with a taller (FPPC) or larger (DA) array.
 func Compile(a *dag.Assay, cfg Config) (*Result, error) {
@@ -258,10 +266,7 @@ func CompileContext(ctx context.Context, a *dag.Assay, cfg Config) (*Result, err
 	sp := cfg.Obs.Span("compile")
 	sp.ArgStr("assay", a.Name)
 	sp.ArgStr("target", cfg.Target.String())
-	defer func() {
-		d := sp.End()
-		cfg.Obs.Gauge("fppc_stage_duration_seconds", "stage", "compile").Set(d.Seconds())
-	}()
+	defer sp.End()
 	spec, ok := LookupTarget(cfg.Target)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown target %d", int(cfg.Target))
@@ -343,17 +348,14 @@ func unsynthesizable(a *dag.Assay, cfg Config, err error) error {
 	return &ErrUnsynthesizable{Assay: a.Name, Target: cfg.Target, Faults: faults, Err: err}
 }
 
-// stage runs fn under a span named name on the chip-attempt observer and
-// records its wall-clock in fppc_stage_duration_seconds{stage=name}.
-// Auto-grow reruns stages; the gauge keeps the last (successful) attempt.
+// stage runs fn under a span named name on the chip-attempt observer.
 func stage(ob *obs.Observer, name string, chip *arch.Chip, fn func() error) error {
 	sp := ob.Span(name)
 	if chip != nil {
 		sp.ArgStr("chip", chip.Name)
 	}
 	err := fn()
-	d := sp.End()
-	ob.Gauge("fppc_stage_duration_seconds", "stage", name).Set(d.Seconds())
+	sp.End()
 	return err
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -167,5 +168,80 @@ func TestFaultChurnStaysBounded(t *testing.T) {
 			t.Fatalf("goroutines: %d running after the churn, baseline %d", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestJobGaugesMatchRecount drives a seeded mix of submissions,
+// placements, migrations, completions, failures and retirements, and
+// after every step checks that the pending and running gauges equal a
+// recount of the job table.
+func TestJobGaugesMatchRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ctx := context.Background()
+	f := newTestFleet(t, ChipSpec{ID: "c0"}, ChipSpec{ID: "c1"})
+	check := func(step int, what string) {
+		t.Helper()
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		var pending, running int
+		for _, j := range f.jobs {
+			switch j.state {
+			case JobPending:
+				pending++
+			case JobPlaced:
+				running++
+			}
+		}
+		if got := f.gPending.Value(); got != float64(pending) {
+			t.Fatalf("step %d (%s): fppc_fleet_jobs_pending = %g, recount %d", step, what, got, pending)
+		}
+		if got := f.gRunning.Value(); got != float64(running) {
+			t.Fatalf("step %d (%s): fppc_fleet_jobs_running = %g, recount %d", step, what, got, running)
+		}
+	}
+	pcr := assays.PCR(assays.DefaultTiming())
+	for step := 0; step < 60; step++ {
+		var what string
+		switch rng.Intn(5) {
+		case 0:
+			what = "submit"
+			for i := rng.Intn(4); i >= 0; i-- {
+				if _, err := f.Submit(scenarioAssay(rng.Intn(8)), ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 1:
+			// No chip takes a DA job: it fails on the next pass, and
+			// enough of them push older terminal jobs out of the table.
+			what = "submit unplaceable"
+			for i := rng.Intn(300); i >= 0; i-- {
+				if _, err := f.Submit(pcr, "da"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 2:
+			what = "wear"
+			id := f.order[rng.Intn(len(f.order))]
+			if _, err := f.AdvanceWear(id, rng.Int63(), 2_000_000, 1+rng.Intn(3)); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			what = "tick"
+			f.Tick(rng.Int63n(800))
+		case 4:
+			what = "reconcile"
+			f.Reconcile(ctx)
+		}
+		check(step, what)
+	}
+	f.Reconcile(ctx)
+	check(-1, "final reconcile")
+	placed, migrated, failed, completed := f.Counts()
+	if placed == 0 || migrated == 0 || failed == 0 || completed == 0 {
+		t.Errorf("the mix missed a transition: placed %d, migrated %d, failed %d, completed %d",
+			placed, migrated, failed, completed)
+	}
+	if len(f.retired) < maxRetiredJobs {
+		t.Errorf("%d terminal jobs kept; the mix should have retired some past the bound of %d", len(f.retired), maxRetiredJobs)
 	}
 }

@@ -95,6 +95,9 @@ type Fleet struct {
 	cPlaced, cMigrated, cFailed, cCompleted *obs.Counter
 	nPlaced, nMigrated, nFailed, nCompleted int
 	gChips, gPending, gRunning              *obs.Gauge
+	// pending and running count the jobs in JobPending and JobPlaced;
+	// setStateLocked keeps them and their gauges current.
+	pending, running int
 }
 
 // New builds the fleet from its chip specs.
@@ -248,14 +251,13 @@ func (f *Fleet) Submit(a *dag.Assay, target string) (JobStatus, error) {
 		id:       fmt.Sprintf("j%04d", f.jobSeq),
 		name:     a.Name,
 		target:   target,
-		state:    JobPending,
 		assay:    canon,
 		original: a.Name,
 		cert:     canon.StructuralHash(),
 	}
 	f.jobs[j.id] = j
 	f.jobOrder = append(f.jobOrder, j)
-	f.gPending.Set(float64(f.countLocked(JobPending)))
+	f.setStateLocked(j, JobPending)
 	f.appendEventLocked(Event{Kind: EventSubmitted, Job: j.id, Detail: a.Name})
 	st := j.status()
 	f.mu.Unlock()
@@ -327,10 +329,9 @@ func (f *Fleet) completeLocked(j *Job) {
 		delete(c.jobs, j.id)
 		c.gJobs.Set(float64(len(c.jobs)))
 	}
-	j.state = JobCompleted
+	f.setStateLocked(j, JobCompleted)
 	f.cCompleted.Inc()
 	f.nCompleted++
-	f.gRunning.Set(float64(f.countLocked(JobPlaced)))
 	f.appendEventLocked(Event{Kind: EventCompleted, Job: j.id, Chip: j.chipID})
 	f.retireLocked(j)
 }
@@ -421,14 +422,29 @@ func (f *Fleet) Counts() (placed, migrated, failed, completed int) {
 	return f.nPlaced, f.nMigrated, f.nFailed, f.nCompleted
 }
 
-func (f *Fleet) countLocked(st JobState) int {
-	n := 0
-	for _, j := range f.jobs {
-		if j.state == st {
-			n++
-		}
+// setStateLocked moves j to st and keeps the pending and running
+// counts, and their gauges, equal to a recount of the jobs in those
+// states; the caller holds mu. A new job moves from the zero state. A
+// migration re-binds a placed job, which changes neither count.
+func (f *Fleet) setStateLocked(j *Job, st JobState) {
+	f.pending += liveDelta(JobPending, j.state, st)
+	f.running += liveDelta(JobPlaced, j.state, st)
+	j.state = st
+	f.gPending.Set(float64(f.pending))
+	f.gRunning.Set(float64(f.running))
+}
+
+// liveDelta is the change a move from one state to another makes to
+// the number of jobs in state live.
+func liveDelta(live, from, to JobState) int {
+	d := 0
+	if from == live {
+		d--
 	}
-	return n
+	if to == live {
+		d++
+	}
+	return d
 }
 
 func sortStrings(s []string) { sort.Strings(s) }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,7 +10,6 @@ import (
 	"fppc/internal/faults"
 	"fppc/internal/grid"
 	"fppc/internal/oracle"
-	"fppc/internal/sim"
 	"fppc/internal/telemetry"
 )
 
@@ -56,16 +54,17 @@ func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, cert string, s
 	cctx, cancel := context.WithTimeout(ctx, f.compileTimeout)
 	defer cancel()
 	e := f.runCompile(cctx, assay, spec, set)
-	if !isCanceled(e.err) {
+	if !core.IsCanceled(e.err) {
 		f.compiles.Put(key, e)
 	}
 	return e
 }
 
-// runCompile executes the fault-aware compile, collects telemetry (the
-// simulator replays the pin program when the target emits one), and
-// verifies the result with the independent oracle under known-fault
-// injection.
+// runCompile executes the fault-aware compile and verifies the result
+// with the independent oracle under known-fault injection. The oracle's
+// simulator cross-check, the one replay of the pin program on the chip
+// with its faults, also collects the telemetry (when the target emits
+// a program).
 func (f *Fleet) runCompile(ctx context.Context, assay *dag.Assay, spec ChipSpec, set *faults.Set) *compiled {
 	e := &compiled{}
 	cfg := coreConfig(spec, set)
@@ -82,12 +81,21 @@ func (f *Fleet) runCompile(ctx context.Context, assay *dag.Assay, spec ChipSpec,
 		e.err = err
 		return e
 	}
-	tc.AttachSchedule(res.Schedule)
-	if prog := res.Routing.Program; prog != nil {
-		// Telemetry is advisory (service discipline): a replay error
-		// leaves the partial snapshot; the oracle below is the check.
-		_, _ = sim.RunCollected(res.Chip, prog, res.Routing.Events, nil, tc)
+	opts := oracle.Options{}
+	if set.Len() > 0 {
+		opts.Faults = set
+		opts.KnownFaults = true
 	}
+	if _, err := oracle.VerifyCollected(res, opts, tc); err != nil {
+		e.verifyErr = err
+		return e
+	}
+	e.verified = true
+	e.mode = "schedule"
+	if res.Routing.Program != nil {
+		e.mode = "frames"
+	}
+	tc.AttachSchedule(res.Schedule)
 	e.snap = tc.Snapshot()
 	e.makespan = res.Schedule.Makespan
 	for _, m := range e.snap.Modules {
@@ -100,20 +108,6 @@ func (f *Fleet) runCompile(ctx context.Context, assay *dag.Assay, spec ChipSpec,
 			}
 			e.used[grid.Cell{X: el.X, Y: el.Y}] = true
 		}
-	}
-	opts := oracle.Options{}
-	if set.Len() > 0 {
-		opts.Faults = set
-		opts.KnownFaults = true
-	}
-	if _, err := oracle.VerifyCompiled(res, opts); err != nil {
-		e.verifyErr = err
-		return e
-	}
-	e.verified = true
-	e.mode = "schedule"
-	if res.Routing.Program != nil {
-		e.mode = "frames"
 	}
 	return e
 }
@@ -132,12 +126,6 @@ func (e *compiled) failure() string {
 	default:
 		return ""
 	}
-}
-
-func isCanceled(err error) bool {
-	var ce *core.ErrCanceled
-	return errors.As(err, &ce) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // chipView is a consistent read of one chip taken under the fleet lock,
@@ -242,7 +230,7 @@ func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, cert, target str
 		}
 		comp := f.compileFor(ctx, assay, cert, v.spec, v.effective, v.effSpec)
 		if !comp.feasible() {
-			if comp.err != nil && isCanceled(comp.err) {
+			if core.IsCanceled(comp.err) {
 				return nil, nil, comp.err
 			}
 			reasons = append(reasons, fmt.Sprintf("%s: %s", v.id, comp.failure()))

@@ -255,12 +255,10 @@ func (f *Fleet) failLocked(j *Job, detail string) {
 		delete(c.jobs, j.id)
 		c.gJobs.Set(float64(len(c.jobs)))
 	}
-	j.state = JobFailed
+	f.setStateLocked(j, JobFailed)
 	j.errMsg = detail
 	f.cFailed.Inc()
 	f.nFailed++
-	f.gPending.Set(float64(f.countLocked(JobPending)))
-	f.gRunning.Set(float64(f.countLocked(JobPlaced)))
 	f.appendEventLocked(Event{Kind: EventFailed, Job: j.id, Chip: j.chipID, Detail: detail})
 	f.retireLocked(j)
 }
@@ -271,7 +269,7 @@ func (f *Fleet) failLocked(j *Job, detail string) {
 // its telemetry — so the chip's effective fault set may grow here,
 // which the next pass observes like any other degradation.
 func (f *Fleet) bindLocked(j *Job, dest *chip, cand *candidate) {
-	j.state = JobPlaced
+	f.setStateLocked(j, JobPlaced)
 	j.chipID = dest.spec.ID
 	j.makespan = cand.comp.makespan
 	j.placedAt = f.clock
@@ -287,8 +285,6 @@ func (f *Fleet) bindLocked(j *Job, dest *chip, cand *candidate) {
 	if dest.refreshEffective() {
 		f.appendEventLocked(Event{Kind: EventDegraded, Chip: dest.spec.ID, Detail: dest.effSpec})
 	}
-	f.gPending.Set(float64(f.countLocked(JobPending)))
-	f.gRunning.Set(float64(f.countLocked(JobPlaced)))
 }
 
 // failedOps locates the work to recover at the given progress: the

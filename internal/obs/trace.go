@@ -136,14 +136,6 @@ func (s *Span) ArgInt(key string, v int64) {
 	s.args = append(s.args, Arg{Key: key, Num: float64(v), IsNum: true})
 }
 
-// ArgFloat annotates the span with a float value.
-func (s *Span) ArgFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.args = append(s.args, Arg{Key: key, Num: v, IsNum: true})
-}
-
 // ArgStr annotates the span with a string value.
 func (s *Span) ArgStr(key, v string) {
 	if s == nil {

@@ -8,6 +8,7 @@ import (
 	"fppc/internal/core"
 	"fppc/internal/dag"
 	"fppc/internal/sim"
+	"fppc/internal/telemetry"
 )
 
 // hard reports whether the violation is a frame-replay physics finding
@@ -31,21 +32,14 @@ func (r *Report) firstHard() *Violation {
 	return nil
 }
 
-// CompareSim cross-checks the oracle's report against the independent
-// cycle-level simulator on the same program, returning a description of
-// every disagreement. The two implementations share no position
-// tracking, so an empty result is real evidence the replay semantics
-// are right. The oracle's spurious-activation findings are deliberately
-// stricter than the simulator and are not counted as disagreements.
-func CompareSim(res *core.Result, rep *Report) []string {
-	return CompareSimInjected(res, rep, nil)
-}
-
-// CompareSimInjected is CompareSim with the same hardware fault set
-// applied to both replays, so a degraded-chip verification still
-// cross-checks two independent implementations of the broken physics.
-func CompareSimInjected(res *core.Result, rep *Report, inj sim.Injector) []string {
-	trace, simErr := sim.RunInjected(res.Chip, res.Routing.Program, res.Routing.Events, nil, nil, inj)
+// compareSim cross-checks the oracle's report against the independent
+// cycle-level simulator's replay of the same program (its trace and
+// first error), returning a description of every disagreement. The two
+// implementations share no position tracking, so an empty result is
+// real evidence the replay semantics are right. The oracle's
+// spurious-activation findings are deliberately stricter than the
+// simulator and are not counted as disagreements.
+func compareSim(rep *Report, trace *sim.Trace, simErr error) []string {
 	var diffs []string
 	hard := rep.firstHard()
 	if simErr != nil {
@@ -89,16 +83,27 @@ func CompareSimInjected(res *core.Result, rep *Report, inj sim.Injector) []strin
 // level: the binding must cover the DAG exactly. The returned report is
 // always non-nil; the error summarizes the first failure.
 func VerifyCompiled(res *core.Result, opts Options) (*Report, error) {
-	if res.Routing.Program == nil {
+	return VerifyCollected(res, opts, nil)
+}
+
+// VerifyCollected is VerifyCompiled streaming the simulator cross-check
+// into tc (nil disables): the one replay of the program, with the
+// declared faults (opts.Faults) injected, doubles as the compile's
+// chip telemetry. The snapshot records the commanded frames; a replay
+// that stops early leaves a partial one, and the error says why.
+func VerifyCollected(res *core.Result, opts Options, tc *telemetry.Collector) (*Report, error) {
+	prog := res.Routing.Program
+	if prog == nil {
 		return verifySchedule(res)
 	}
-	rep := Verify(res.Chip, res.Routing.Program, res.Routing.Events, opts)
+	rep := Verify(res.Chip, prog, res.Routing.Events, opts)
 	rep.CheckAssay(res.Assay)
 	var inj sim.Injector
 	if opts.Faults != nil {
 		inj = opts.Faults
 	}
-	if diffs := CompareSimInjected(res, rep, inj); len(diffs) > 0 {
+	trace, simErr := sim.RunInjected(res.Chip, prog, res.Routing.Events, nil, tc, inj)
+	if diffs := compareSim(rep, trace, simErr); len(diffs) > 0 {
 		return rep, fmt.Errorf("oracle: %s: oracle/sim disagreement: %s",
 			res.Assay.Name, strings.Join(diffs, "; "))
 	}

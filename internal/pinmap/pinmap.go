@@ -43,9 +43,6 @@ type Constraints struct {
 	seq    [][]State // indexed [cell][cycle]
 }
 
-// At returns electrode i's requirement during the cycle.
-func (c *Constraints) At(i, cycle int) State { return c.seq[i][cycle] }
-
 // Derive replays the program and records every electrode's requirement
 // per cycle. The replay must succeed (a physics violation aborts).
 func Derive(chip *arch.Chip, prog *pins.Program, events []router.Event) (*Constraints, error) {

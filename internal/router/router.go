@@ -316,18 +316,11 @@ func nearestOutputPort(c *arch.Chip, original int, from grid.Cell) int {
 
 // Route dispatches on the schedule's chip architecture.
 func Route(s *scheduler.Schedule, opts Options) (*Result, error) {
-	return RouteContext(nil, s, opts)
-}
-
-// RouteContext is Route with cooperative cancellation: the per-boundary
-// loops check ctx between sub-problems and abort with an error wrapping
-// ctx.Err(). A nil ctx never cancels.
-func RouteContext(ctx context.Context, s *scheduler.Schedule, opts Options) (*Result, error) {
 	switch s.Chip.Arch {
 	case arch.FPPC, arch.EnhancedFPPC:
-		return routeFPPC(ctx, s, opts)
+		return routeFPPC(nil, s, opts)
 	case arch.DirectAddressing:
-		return routeDA(ctx, s, opts)
+		return routeDA(nil, s, opts)
 	}
 	return nil, fmt.Errorf("router: unknown architecture %v", s.Chip.Arch)
 }

@@ -6,7 +6,6 @@ import (
 
 	"fppc/internal/arch"
 	"fppc/internal/dag"
-	"fppc/internal/obs"
 )
 
 // daState models the direct-addressing baseline's resources: a pool of
@@ -22,24 +21,13 @@ type daState struct {
 
 // ScheduleDA runs the list scheduler against a direct-addressing chip.
 func ScheduleDA(a *dag.Assay, chip *arch.Chip) (*Schedule, error) {
-	return ScheduleDAObserved(a, chip, nil)
-}
-
-// ScheduleDAObserved is ScheduleDA with instrumentation recorded on ob
-// (nil disables).
-func ScheduleDAObserved(a *dag.Assay, chip *arch.Chip, ob *obs.Observer) (*Schedule, error) {
-	return ScheduleDAContext(nil, a, chip, ob)
-}
-
-// ScheduleDAContext is ScheduleDAObserved with cooperative cancellation
-// (see ScheduleFPPCContext). A nil ctx never cancels.
-func ScheduleDAContext(ctx context.Context, a *dag.Assay, chip *arch.Chip, ob *obs.Observer) (*Schedule, error) {
-	return ScheduleDAWith(ctx, a, chip, Opts{Obs: ob})
+	return ScheduleDAWith(nil, a, chip, Opts{})
 }
 
 // ScheduleDAWith is the fully-configurable DA entry point; see Opts. The
 // worker count only parallelizes precomputation, so the schedule is
-// byte-identical for every value.
+// byte-identical for every value. Cancellation works as in
+// ScheduleFPPCWith.
 func ScheduleDAWith(ctx context.Context, a *dag.Assay, chip *arch.Chip, opts Opts) (*Schedule, error) {
 	if chip.Arch != arch.DirectAddressing {
 		return nil, fmt.Errorf("scheduler: ScheduleDA on %v chip %s", chip.Arch, chip.Name)

@@ -6,7 +6,6 @@ import (
 
 	"fppc/internal/arch"
 	"fppc/internal/dag"
-	"fppc/internal/obs"
 )
 
 // fppcState is the FPPC scheduler's resource model: typed modules with
@@ -51,25 +50,14 @@ func (st *fppcState) ssdUsable(idx int) bool {
 // chip needs at least two SSD modules to schedule anything that stores,
 // detects or splits.
 func ScheduleFPPC(a *dag.Assay, chip *arch.Chip) (*Schedule, error) {
-	return ScheduleFPPCObserved(a, chip, nil)
-}
-
-// ScheduleFPPCObserved is ScheduleFPPC with list-scheduling iteration,
-// deferred-op and eviction instrumentation recorded on ob (nil disables).
-func ScheduleFPPCObserved(a *dag.Assay, chip *arch.Chip, ob *obs.Observer) (*Schedule, error) {
-	return ScheduleFPPCContext(nil, a, chip, ob)
-}
-
-// ScheduleFPPCContext is ScheduleFPPCObserved with cooperative
-// cancellation: the time-step loop checks ctx once per step and aborts
-// with an error wrapping ctx.Err(). A nil ctx never cancels.
-func ScheduleFPPCContext(ctx context.Context, a *dag.Assay, chip *arch.Chip, ob *obs.Observer) (*Schedule, error) {
-	return ScheduleFPPCWith(ctx, a, chip, Opts{Obs: ob})
+	return ScheduleFPPCWith(nil, a, chip, Opts{})
 }
 
 // ScheduleFPPCWith is the fully-configurable FPPC entry point; see Opts.
 // The worker count only parallelizes precomputation, so the schedule is
-// byte-identical for every value.
+// byte-identical for every value. The time-step loop checks ctx once
+// per step and aborts with an error wrapping ctx.Err(); a nil ctx never
+// cancels.
 func ScheduleFPPCWith(ctx context.Context, a *dag.Assay, chip *arch.Chip, opts Opts) (*Schedule, error) {
 	if chip.Arch == arch.DirectAddressing {
 		return nil, fmt.Errorf("scheduler: ScheduleFPPC on %v chip %s", chip.Arch, chip.Name)

@@ -14,6 +14,7 @@ import (
 	"fppc/internal/obs"
 	"fppc/internal/oracle"
 	"fppc/internal/router"
+	"fppc/internal/telemetry"
 )
 
 // CompileRequest is the POST /compile body. Exactly one of ASL or DAG
@@ -315,13 +316,15 @@ func (e *verificationError) Unwrap() error { return e.err }
 // and renders the report for the response. Declared faults are injected
 // into the replay in known-fault mode: the oracle tolerates refusals the
 // compiler already routed around but still fails on any real divergence.
-func (j *job) runVerify(res *core.Result) (*VerificationInfo, error) {
+// The oracle's simulator cross-check streams the compile's telemetry
+// into tc.
+func (j *job) runVerify(res *core.Result, tc *telemetry.Collector) (*VerificationInfo, error) {
 	opts := oracle.Options{}
 	if j.faults != nil {
 		opts.Faults = j.faults
 		opts.KnownFaults = true
 	}
-	rep, err := oracle.VerifyCompiled(res, opts)
+	rep, err := oracle.VerifyCollected(res, opts, tc)
 	if err != nil {
 		return nil, &verificationError{err}
 	}

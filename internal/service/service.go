@@ -555,7 +555,7 @@ func (s *Server) compile(ctx context.Context, j *job, rec *journal.Entry) (*entr
 			// The leader's deadline is not ours: if the leader died of
 			// cancellation but this request still has budget, retry as a
 			// fresh leader.
-			if err != nil && isCancellation(err) && ctx.Err() == nil {
+			if err != nil && core.IsCanceled(err) && ctx.Err() == nil {
 				continue
 			}
 			s.cDedup.Inc()
@@ -569,7 +569,9 @@ func (s *Server) compile(ctx context.Context, j *job, rec *journal.Entry) (*entr
 // compiles it under a request-scoped tracer, and populates the cache.
 // The tracer's spans and the schedule/route/verify stage durations land
 // on the caller's journal entry (rec is the singleflight leader's entry;
-// followers share the result but executed none of the stages).
+// followers share the result but executed none of the stages). A
+// deadline that expires while waiting for the slot fails with the same
+// *core.ErrCanceled a compile aborted by it returns.
 func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*entry, error) {
 	s.gQueue.Set(float64(s.queued.Add(1)))
 	select {
@@ -577,7 +579,7 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 		s.gQueue.Set(float64(s.queued.Add(-1)))
 	case <-ctx.Done():
 		s.gQueue.Set(float64(s.queued.Add(-1)))
-		return nil, ctx.Err()
+		return nil, &core.ErrCanceled{Assay: j.assay.Name, Target: j.cfg.Target, Err: ctx.Err()}
 	}
 	defer func() { <-s.sem }()
 
@@ -634,7 +636,7 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 	}
 	if j.verify {
 		tv := time.Now()
-		vi, verr := j.runVerify(res)
+		vi, verr := j.runVerify(res, tc)
 		dv := time.Since(tv)
 		rec.SetStage(journal.StageVerify, dv)
 		s.hStage[journal.StageVerify].Observe(dv.Seconds())
@@ -664,13 +666,6 @@ func sumStageSpans(recs []obs.SpanRecord) (schedule, route time.Duration) {
 	return schedule, route
 }
 
-// isCancellation reports whether err stems from a context abort.
-func isCancellation(err error) bool {
-	var ce *core.ErrCanceled
-	return errors.As(err, &ce) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // classifyCompileError maps compile failures to HTTP statuses and error
 // kinds: 504 for deadline/cancellation (the typed core.ErrCanceled),
 // 400 for invalid requests, 500 for oracle verification failures, 422
@@ -679,7 +674,7 @@ func isCancellation(err error) bool {
 // assays the flow cannot compile at all. The kind doubles as the
 // journal entry's error class.
 func classifyCompileError(err error) (int, string) {
-	if isCancellation(err) {
+	if core.IsCanceled(err) {
 		return http.StatusGatewayTimeout, "canceled"
 	}
 	var br *badRequestError

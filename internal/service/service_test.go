@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -193,6 +194,40 @@ func TestTinyDeadlineReturns504(t *testing.T) {
 	}
 	if s.cTimeouts.Value() == 0 {
 		t.Error("timeout counter not incremented")
+	}
+}
+
+// TestSlotWaitDeadlineIsTyped holds every worker slot, so the request's
+// deadline expires while it waits for one and no compile starts. The
+// 504 must still carry core's typed cancellation, as a compile aborted
+// by the same deadline would.
+func TestSlotWaitDeadlineIsTyped(t *testing.T) {
+	s, ts := newTestServer(t)
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(s.sem); i++ {
+			<-s.sem
+		}
+	}()
+	var eresp errorResponse
+	code := post(t, ts.URL, CompileRequest{ASL: dilutionASL, TimeoutMS: 1}, &eresp)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("HTTP %d, want 504 (body: %+v)", code, eresp)
+	}
+	if eresp.Kind != "canceled" {
+		t.Errorf("kind = %q, want \"canceled\"", eresp.Kind)
+	}
+	want := (&core.ErrCanceled{Assay: "dilution", Target: core.TargetFPPC, Err: context.DeadlineExceeded}).Error()
+	if eresp.Error != want {
+		t.Errorf("error = %q, want %q", eresp.Error, want)
+	}
+	if got := s.cTimeouts.Value(); got != 1 {
+		t.Errorf("fppc_service_timeouts_total = %d, want 1", got)
+	}
+	if got := s.cCompiles.Value(); got != 0 {
+		t.Errorf("%d compiles started while every slot was held", got)
 	}
 }
 

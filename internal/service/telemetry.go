@@ -26,14 +26,20 @@ type TelemetryRecord struct {
 // collectTelemetry builds the compile's telemetry record: router
 // stall/relocation counts arrive through the collector threaded into
 // the router, the schedule supplies the module timeline, and — when the
-// compile emitted a pin program — a simulator replay fills in electrode
-// wear, congestion and droplet traces. Telemetry is advisory: a replay
-// error leaves the partial snapshot in place and never fails the
-// compile (verification is the oracle's job).
+// compile emitted a pin program — the one simulator replay of the chip
+// with its declared faults fills in electrode wear, congestion and
+// droplet traces. A verified compile's replay is the oracle's
+// cross-check, which already fed tc; any other compile replays here.
+// Telemetry is advisory: a replay error leaves the partial snapshot in
+// place and never fails the compile (verification is the oracle's job).
 func (s *Server) collectTelemetry(j *job, res *core.Result, tc *telemetry.Collector) {
 	tc.AttachSchedule(res.Schedule)
-	if prog := res.Routing.Program; prog != nil {
-		_, _ = sim.RunCollected(res.Chip, prog, res.Routing.Events, nil, tc)
+	if prog := res.Routing.Program; prog != nil && !j.verify {
+		var inj sim.Injector
+		if j.faults != nil {
+			inj = j.faults
+		}
+		_, _ = sim.RunInjected(res.Chip, prog, res.Routing.Events, nil, tc, inj)
 	}
 	s.lastTelemetry.Store(&TelemetryRecord{
 		Assay:       res.Assay.Name,

@@ -6,6 +6,7 @@ import (
 
 	"fppc/internal/arch"
 	"fppc/internal/grid"
+	"fppc/internal/obs"
 	"fppc/internal/pins"
 	"fppc/internal/router"
 	"fppc/internal/telemetry"
@@ -13,12 +14,14 @@ import (
 
 // Replay is a stepwise simulator: the same physics as Run, advanced one
 // actuation cycle at a time, with frame rendering for visual inspection.
+// RunInjected steps the same loop to the end.
 type Replay struct {
 	chip   *arch.Chip
 	prog   *pins.Program
 	events []router.Event
+	inj    Injector // nil: the commanded frames energize as driven
 
-	st    *state
+	st    state
 	cycle int
 	evIdx int
 	err   error
@@ -26,12 +29,30 @@ type Replay struct {
 
 // NewReplay prepares a stepwise replay of a compiled program.
 func NewReplay(chip *arch.Chip, prog *pins.Program, events []router.Event) *Replay {
-	return &Replay{
+	r := newReplay(chip, prog, events, nil, nil)
+	return &r
+}
+
+// newReplay readies a replay at cycle 0 that counts on ob's simulator
+// metrics and energizes through inj (both may be nil).
+func newReplay(chip *arch.Chip, prog *pins.Program, events []router.Event, ob *obs.Observer, inj Injector) Replay {
+	r := Replay{
 		chip:   chip,
 		prog:   prog,
 		events: events,
-		st:     &state{chip: chip, trace: &Trace{}},
+		inj:    inj,
+		st: state{
+			chip:    chip,
+			trace:   &Trace{},
+			cCycles: ob.Counter("fppc_sim_cycles_total"),
+			cMoves:  ob.Counter("fppc_sim_droplet_moves_total"),
+			cChecks: ob.Counter("fppc_sim_interference_checks_total"),
+			cMerges: ob.Counter("fppc_sim_merges_total"),
+			cSplits: ob.Counter("fppc_sim_splits_total"),
+		},
 	}
+	r.checkEnd()
+	return r
 }
 
 // Collect streams chip-level execution telemetry from the remaining
@@ -44,7 +65,8 @@ func (r *Replay) Collect(tc *telemetry.Collector) {
 // Done reports whether the program is exhausted or a violation occurred.
 func (r *Replay) Done() bool { return r.err != nil || r.cycle >= r.prog.Len() }
 
-// Err returns the first physics violation, if any.
+// Err returns the first physics violation, if any, or the reservoir
+// events left over once the program is exhausted.
 func (r *Replay) Err() error { return r.err }
 
 // Cycle returns the next cycle to execute.
@@ -52,37 +74,45 @@ func (r *Replay) Cycle() int { return r.cycle }
 
 // Trace returns the running counters (valid at any point).
 func (r *Replay) Trace() *Trace {
-	t := *r.st.trace
-	t.Cycles = r.cycle
-	t.Remaining = nil
-	for _, d := range r.st.drops {
-		t.Remaining = append(t.Remaining, *d)
-	}
+	t := *r.st.finish(r.cycle)
 	return &t
 }
 
-// Step executes one actuation cycle. It returns false once the replay
-// cannot advance (completion or error).
+// Step executes one actuation cycle: the cycle's reservoir events, then
+// the droplet physics under its energized electrodes. It returns false
+// once the replay cannot advance (completion or error).
 func (r *Replay) Step() bool {
 	if r.Done() {
 		return false
 	}
-	for r.evIdx < len(r.events) && r.events[r.evIdx].Cycle == r.cycle {
-		if err := r.st.apply(r.cycle, r.events[r.evIdx]); err != nil {
-			r.err = err
+	s, cyc := &r.st, r.cycle
+	for r.evIdx < len(r.events) && r.events[r.evIdx].Cycle == cyc {
+		if r.err = s.apply(cyc, r.events[r.evIdx]); r.err != nil {
 			return false
 		}
 		r.evIdx++
 	}
-	r.st.activeBuf = pins.ActiveCellsInto(r.chip, r.prog.Cycle(r.cycle), r.st.activeBuf)
-	active := r.st.activeBuf
-	r.st.tc.Frame(r.prog.Cycle(r.cycle))
-	if err := r.st.step(r.cycle, active); err != nil {
-		r.err = err
+	frame := r.prog.Cycle(cyc)
+	s.activeBuf = pins.ActiveCellsInto(r.chip, frame, s.activeBuf)
+	if r.inj != nil {
+		r.inj.Transform(r.chip, s.activeBuf)
+	}
+	s.cCycles.Inc()
+	s.tc.Frame(frame)
+	if r.err = s.step(cyc, s.activeBuf); r.err != nil {
 		return false
 	}
 	r.cycle++
+	r.checkEnd()
 	return true
+}
+
+// checkEnd fails the replay once the program is exhausted with
+// reservoir events still pending.
+func (r *Replay) checkEnd() {
+	if r.cycle == r.prog.Len() && r.evIdx != len(r.events) {
+		r.err = fmt.Errorf("sim: %d reservoir events beyond the program's end", len(r.events)-r.evIdx)
+	}
 }
 
 // Frame renders the current array state as ASCII art: droplets as 'o'

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fppc/internal/arch"
+	"fppc/internal/assays"
+	"fppc/internal/core"
 	"fppc/internal/grid"
 	"fppc/internal/pins"
 	"fppc/internal/router"
@@ -37,6 +42,67 @@ func TestReplayMatchesRun(t *testing.T) {
 	if got.Splits != want.Splits || got.Merges != want.Merges ||
 		got.Dispenses != want.Dispenses || len(got.Remaining) != len(want.Remaining) {
 		t.Errorf("replay trace %+v != run trace %+v", got, want)
+	}
+}
+
+// TestReplayToEndMatchesRun steps a Replay through every Table 1
+// program, and through PCR's program broken three ways: the final trace
+// and error must be Run's, including the error for reservoir events
+// scheduled past the program's end.
+func TestReplayToEndMatchesRun(t *testing.T) {
+	type replayCase struct {
+		name    string
+		chip    *arch.Chip
+		prog    *pins.Program
+		events  []router.Event
+		wantErr string // "" for a clean run
+	}
+	var cases []replayCase
+	for _, a := range assays.Table1Benchmarks(assays.DefaultTiming()) {
+		res, err := core.Compile(a, core.Config{
+			Target: core.TargetFPPC, AutoGrow: true,
+			Router: router.Options{EmitProgram: true, RotationsPerStep: 1},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		cases = append(cases, replayCase{a.Name, res.Chip, res.Routing.Program, res.Routing.Events, ""})
+	}
+	pcr := cases[0]
+	mid := pcr.prog.Len() / 2
+	past := append(append([]router.Event(nil), pcr.events...),
+		router.Event{Cycle: pcr.prog.Len() + 3, Kind: router.EvOutput, Cell: pcr.events[0].Cell})
+	var stray []router.Event
+	for i, ev := range pcr.events {
+		if ev.Cycle > mid && (i == 0 || pcr.events[i-1].Cycle <= mid) {
+			stray = append(stray, router.Event{Cycle: mid, Kind: router.EvOutput, Cell: grid.Cell{X: 0, Y: 0}})
+		}
+		stray = append(stray, ev)
+	}
+	var blank pins.Program
+	for c := 0; c < pcr.prog.Len(); c++ {
+		if c == mid {
+			blank.Append()
+		} else {
+			blank.Append(pcr.prog.Cycle(c)...)
+		}
+	}
+	cases = append(cases,
+		replayCase{"PCR, events past the end", pcr.chip, pcr.prog, past, "beyond the program's end"},
+		replayCase{"PCR, output with no droplet", pcr.chip, pcr.prog, stray, "no droplet at the port"},
+		replayCase{"PCR, blank frame", pcr.chip, &blank, pcr.events, "drifts"})
+	for _, c := range cases {
+		want, wantErr := Run(c.chip, c.prog, c.events)
+		if (wantErr == nil) != (c.wantErr == "") || (wantErr != nil && !strings.Contains(wantErr.Error(), c.wantErr)) {
+			t.Fatalf("%s: Run returned %v, want an error containing %q", c.name, wantErr, c.wantErr)
+		}
+		r := NewReplay(c.chip, c.prog, c.events)
+		for r.Step() {
+		}
+		if got, gotErr := r.Trace(), r.Err(); fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replay ended at cycle %d with %v; Run ended at %d with %v (traces equal: %t)",
+				c.name, got.Cycles, gotErr, want.Cycles, wantErr, reflect.DeepEqual(got, want))
+		}
 	}
 }
 

@@ -157,45 +157,16 @@ type Injector interface {
 // every cycle's active-cell set (nil behaves exactly like RunCollected).
 // The replay reports how the *physical* degraded chip would behave; the
 // telemetry collector still records the commanded frames, matching what
-// the controller believes it sent.
+// the controller believes it sent. It steps the same loop as Replay.
 func RunInjected(chip *arch.Chip, prog *pins.Program, events []router.Event, ob *obs.Observer, tc *telemetry.Collector, inj Injector) (*Trace, error) {
 	sp := ob.Span("simulate")
 	sp.ArgInt("cycles", int64(prog.Len()))
 	defer sp.End()
-	tc.BindChip(chip)
-	s := &state{
-		chip:    chip,
-		trace:   &Trace{},
-		tc:      tc,
-		cCycles: ob.Counter("fppc_sim_cycles_total"),
-		cMoves:  ob.Counter("fppc_sim_droplet_moves_total"),
-		cChecks: ob.Counter("fppc_sim_interference_checks_total"),
-		cMerges: ob.Counter("fppc_sim_merges_total"),
-		cSplits: ob.Counter("fppc_sim_splits_total"),
+	r := newReplay(chip, prog, events, ob, inj)
+	r.Collect(tc)
+	for r.Step() {
 	}
-	evIdx := 0
-	for cyc := 0; cyc < prog.Len(); cyc++ {
-		for evIdx < len(events) && events[evIdx].Cycle == cyc {
-			if err := s.apply(cyc, events[evIdx]); err != nil {
-				return s.finish(cyc), err
-			}
-			evIdx++
-		}
-		s.activeBuf = pins.ActiveCellsInto(chip, prog.Cycle(cyc), s.activeBuf)
-		active := s.activeBuf
-		if inj != nil {
-			inj.Transform(chip, active)
-		}
-		s.cCycles.Inc()
-		s.tc.Frame(prog.Cycle(cyc))
-		if err := s.step(cyc, active); err != nil {
-			return s.finish(cyc), err
-		}
-	}
-	if evIdx != len(events) {
-		return s.finish(prog.Len()), fmt.Errorf("sim: %d reservoir events beyond the program's end", len(events)-evIdx)
-	}
-	return s.finish(prog.Len()), nil
+	return r.st.finish(r.cycle), r.err
 }
 
 type state struct {
