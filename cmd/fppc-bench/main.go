@@ -7,6 +7,8 @@
 //	fppc-bench -table 3          # FPPC array-size sweep
 //	fppc-bench -table 3 -dispense 2   # section 5.2 dispense ablation
 //	fppc-bench -markdown         # all tables as Markdown with paper values
+//	fppc-bench -table 3 -json    # the selected tables as one JSON document on
+//	                             # stdout (status lines go to stderr)
 //	fppc-bench -table 0          # everything (default)
 //	fppc-bench -faults 3         # chaos campaign: random hardware faults
 //	                             # over every benchmark, zero tolerated misses
@@ -49,7 +51,6 @@ func run(args []string, out io.Writer) error {
 	heights := fs.String("heights", "", "comma-separated FPPC heights for table 3 (default 9,12,15,18,21)")
 	markdown := fs.Bool("markdown", false, "emit all tables as Markdown with paper values inline")
 	jsonOut := fs.Bool("json", false, "emit the selected tables as JSON")
-	cost := fs.Bool("cost", true, "with -json and table 0|1: emit the per-stage cost matrix (wall, CPU, allocs, bytes per benchmark x target)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file of the runs")
 	metricsOut := fs.String("metrics", "", "write pipeline metrics in Prometheus text format")
 	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
@@ -64,6 +65,14 @@ func run(args []string, out io.Writer) error {
 	}
 	if common.PrintVersion(out) {
 		return nil
+	}
+	if *markdown && *jsonOut {
+		return fmt.Errorf("-markdown and -json select different output formats; pass one")
+	}
+	// With -json, stdout carries only the JSON document.
+	status := out
+	if *jsonOut {
+		status = os.Stderr
 	}
 	logger, err := common.Logger(os.Stderr)
 	if err != nil {
@@ -94,9 +103,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("fault campaign: %w", err)
 		}
 		for _, r := range res.Runs {
-			fmt.Fprintf(out, "chaos: %-18s %-15s %s\n", r.Assay, r.Outcome, r.Faults)
+			fmt.Fprintf(status, "chaos: %-18s %-15s %s\n", r.Assay, r.Outcome, r.Faults)
 		}
-		fmt.Fprintf(out, "chaos campaign: %s\n", res.Summary())
+		fmt.Fprintf(status, "chaos campaign: %s\n", res.Summary())
 		if res.Missed > 0 {
 			return fmt.Errorf("fault campaign: %d runs MISSED a hardware fault", res.Missed)
 		}
@@ -105,7 +114,7 @@ func run(args []string, out io.Writer) error {
 		if err := bench.VerifyTable1(ctx, tm); err != nil {
 			return err
 		}
-		fmt.Fprintln(out, "verified: all 13 benchmarks pass the independent oracle and pairwise schedule equivalence on every registered target")
+		fmt.Fprintln(status, "verified: all 13 benchmarks pass the independent oracle and pairwise schedule equivalence on every registered target")
 	}
 	if *markdown {
 		md, err := report.MarkdownContext(ctx, tm, ob)
@@ -121,7 +130,6 @@ func run(args []string, out io.Writer) error {
 		Table1Averages *bench.Table1Averages `json:"table1_averages,omitempty"`
 		Table2         []bench.Table2Row     `json:"table2,omitempty"`
 		Table3         []bench.Table3Row     `json:"table3,omitempty"`
-		Cost           []bench.CostRow       `json:"cost,omitempty"`
 	}{}
 	if *table == 0 || *table == 1 {
 		var rows []bench.Table1Row
@@ -134,7 +142,7 @@ func run(args []string, out io.Writer) error {
 				err = writeTelemetryDir(*telemetryDir, snaps)
 			}
 			if err == nil {
-				fmt.Fprintf(out, "telemetry snapshots written to %s\n", *telemetryDir)
+				fmt.Fprintf(status, "telemetry snapshots written to %s\n", *telemetryDir)
 			}
 		} else {
 			rows, avg, err = bench.Table1Context(ctx, tm, ob)
@@ -183,13 +191,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, bench.FormatTable3(rows))
 		}
 	}
-	if *jsonOut && *cost && (*table == 0 || *table == 1) {
-		rows, err := bench.CostMatrix(ctx, tm)
-		if err != nil {
-			return err
-		}
-		doc.Cost = rows
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -197,7 +198,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	return writeObs(out, ob, *traceOut, *metricsOut)
+	return writeObs(status, ob, *traceOut, *metricsOut)
 }
 
 // writeTelemetryDir writes one chip-telemetry snapshot JSON per

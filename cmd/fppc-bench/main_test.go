@@ -68,54 +68,35 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
-func TestRunJSONCostMatrix(t *testing.T) {
+// TestRunJSONStdoutIsJSON pins that -json owns stdout: the status
+// lines of -verify (and -faults, -telemetry-dir, -trace, -metrics) go
+// to stderr, so the whole of stdout parses as one document.
+func TestRunJSONStdoutIsJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-verify checks all 13 benchmarks on every registered target")
+	}
 	var out strings.Builder
-	if err := run([]string{"-table", "1", "-json"}, &out); err != nil {
+	if err := run([]string{"-json", "-table", "3", "-heights", "9", "-verify"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Table1 []struct{ Name string } `json:"table1"`
-		Cost   []struct {
-			Benchmark, Target, Stage string
-			WallMS                   float64
-			Allocs, Bytes            int64
-			Note                     string
-		} `json:"cost"`
+		Table3 []struct{ H int } `json:"table3"`
 	}
 	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-		t.Fatalf("-json output is not JSON: %v\n%.300s", err, out.String())
+		t.Fatalf("-json -verify stdout is not JSON: %v\n%.300s", err, out.String())
 	}
-	if len(doc.Cost) == 0 {
-		t.Fatal("cost section missing from -json -table 1 output")
-	}
-	targets := map[string]bool{}
-	compileRows := 0
-	for _, r := range doc.Cost {
-		targets[r.Target] = true
-		if r.Stage == "compile" {
-			compileRows++
-			if r.Note == "" && (r.Allocs <= 0 || r.Bytes <= 0) {
-				t.Errorf("compile cost row without heap numbers: %+v", r)
-			}
-		}
-	}
-	for _, want := range []string{"fppc", "da", "enhanced-fppc"} {
-		if !targets[want] {
-			t.Errorf("cost matrix missing target %q (have %v)", want, targets)
-		}
-	}
-	if want := len(doc.Table1) * 3; compileRows != want {
-		t.Errorf("cost matrix has %d compile rows, want %d (benchmarks x targets)", compileRows, want)
+	if len(doc.Table3) != 1 || doc.Table3[0].H != 9 {
+		t.Errorf("unexpected table3 rows: %+v", doc.Table3)
 	}
 }
 
-func TestRunJSONCostDisabled(t *testing.T) {
+func TestRunRejectsMarkdownWithJSON(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-table", "1", "-json", "-cost=false"}, &out); err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-markdown", "-json"}, &out); err == nil {
+		t.Fatal("-markdown -json accepted; one of the two would be ignored")
 	}
-	if strings.Contains(out.String(), `"cost"`) {
-		t.Error("-cost=false still emitted the cost section")
+	if out.Len() != 0 {
+		t.Errorf("rejected run wrote to stdout:\n%.200s", out.String())
 	}
 }
 

@@ -74,8 +74,7 @@ type mixResult struct {
 	ElapsedS   float64 `json:"elapsed_s"`
 }
 
-// artifact is the loadbench JSON schema (BENCH_LOAD.json; diffable
-// with scripts/benchdiff).
+// artifact is the loadbench JSON schema (BENCH_LOAD.json).
 type artifact struct {
 	GeneratedBy string      `json:"generated_by"`
 	Addr        string      `json:"addr"`

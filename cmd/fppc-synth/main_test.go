@@ -122,7 +122,7 @@ func TestRunTraceMetricsVerbose(t *testing.T) {
 	for _, frag := range []string{
 		"fppc_router_retries_total 0",
 		`fppc_router_bus_cycles_total{phase="transport"}`,
-		"fppc_sched_timesteps",
+		"fppc_sched_moves_total",
 	} {
 		if !strings.Contains(string(mp), frag) {
 			t.Errorf("metrics missing %s", frag)

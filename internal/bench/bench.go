@@ -34,7 +34,8 @@ type ArchResult struct {
 	OpsS       float64
 	// SynthMS is the wall-clock synthesis time (schedule + place + route)
 	// in milliseconds — the compiler's own cost, as opposed to the assay
-	// execution times above.
+	// execution times above. It is one sample of one compile, so it
+	// shows scale only; the service benchmark measures time.
 	SynthMS float64
 }
 

@@ -403,6 +403,5 @@ func compileOn(ctx context.Context, a *dag.Assay, chip *arch.Chip, cfg Config, s
 	}); err != nil {
 		return nil, err
 	}
-	ob.Gauge("fppc_route_total_cycles").Set(float64(routing.TotalCycles))
 	return &Result{Assay: a, Chip: chip, Schedule: s, Routing: routing}, nil
 }

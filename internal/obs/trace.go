@@ -15,49 +15,11 @@ import (
 // goroutine per pipeline stage (concurrent spans still record correct
 // timings, only their indentation in summaries may interleave).
 type Tracer struct {
-	mu      sync.Mutex
-	now     func() time.Time // injectable for deterministic tests
-	start   time.Time
-	depth   int
-	done    []SpanRecord
-	sampler CostSampler
-}
-
-// CostSample is a point-in-time reading of cumulative resource
-// counters: CPU time consumed, heap objects allocated, and heap bytes
-// allocated. Samplers return monotone values; spans record the delta
-// between their start and end samples.
-type CostSample struct {
-	CPU    time.Duration
-	Allocs int64
-	Bytes  int64
-}
-
-// CostSampler reads the current cumulative cost counters. The canonical
-// implementation is perf.Sampler (runtime.MemStats plus thread CPU
-// time); obs only defines the contract so the zero-dependency tracer
-// can carry cost deltas without importing runtime internals.
-type CostSampler func() CostSample
-
-// The span annotation keys carrying cost deltas when a sampler is set.
-const (
-	CostArgCPU    = "cpu_ns"
-	CostArgAllocs = "allocs"
-	CostArgBytes  = "bytes"
-)
-
-// SetCostSampler attaches a cost sampler: every subsequent span records
-// CPU-time, alloc-count and alloc-bytes deltas as the cpu_ns, allocs
-// and bytes annotations. Sampling costs one sampler call at Span and
-// one at End, so this is a profiling-run tool, not an always-on hot
-// path default. Nil-safe; a nil sampler turns cost recording off.
-func (t *Tracer) SetCostSampler(s CostSampler) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sampler = s
-	t.mu.Unlock()
+	mu    sync.Mutex
+	now   func() time.Time // injectable for deterministic tests
+	start time.Time
+	depth int
+	done  []SpanRecord
 }
 
 // NewTracer returns an empty tracer anchored at the current time.
@@ -103,10 +65,6 @@ type Span struct {
 	depth int
 	start time.Time
 	args  []Arg
-
-	// cost tracking, active only when the tracer carries a sampler.
-	sampler CostSampler
-	cost0   CostSample
 }
 
 // Span opens a new span. On a nil tracer it returns nil without reading
@@ -118,14 +76,8 @@ func (t *Tracer) Span(name string) *Span {
 	t.mu.Lock()
 	d := t.depth
 	t.depth++
-	sampler := t.sampler
 	t.mu.Unlock()
-	s := &Span{tr: t, name: name, depth: d, sampler: sampler}
-	if sampler != nil {
-		s.cost0 = sampler()
-	}
-	s.start = t.now()
-	return s
+	return &Span{tr: t, name: name, depth: d, start: t.now()}
 }
 
 // ArgInt annotates the span with an integer value.
@@ -151,15 +103,6 @@ func (s *Span) End() time.Duration {
 	}
 	t := s.tr
 	end := t.now()
-	if s.sampler != nil {
-		// Sample before taking the tracer lock so another span's commit
-		// cannot inflate this span's cost account.
-		c := s.sampler()
-		s.args = append(s.args,
-			Arg{Key: CostArgCPU, Num: float64(c.CPU - s.cost0.CPU), IsNum: true},
-			Arg{Key: CostArgAllocs, Num: float64(c.Allocs - s.cost0.Allocs), IsNum: true},
-			Arg{Key: CostArgBytes, Num: float64(c.Bytes - s.cost0.Bytes), IsNum: true})
-	}
 	t.mu.Lock()
 	t.depth--
 	t.done = append(t.done, SpanRecord{

@@ -1,14 +1,11 @@
 package oracle
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
+	"fppc/internal/allocfloor"
 	"fppc/internal/assays"
 	"fppc/internal/core"
 	"fppc/internal/grid"
@@ -101,37 +98,10 @@ func BenchmarkVerify(b *testing.B) {
 // ratchet: verifying the compiled Protein Split 3 program must stay
 // under the committed ceiling, so a faster replay can lower it.
 func TestAllocsCeilingVerify(t *testing.T) {
-	ceiling := allocCeiling(t, "verify_protein3")
 	res := compileFPPC(t, assays.ProteinSplit(3, assays.DefaultTiming()))
-	allocs := testing.AllocsPerRun(3, func() {
+	allocfloor.Check(t, "verify_protein3", testing.AllocsPerRun(3, func() {
 		if _, err := VerifyCompiled(res, Options{}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > ceiling {
-		t.Errorf("VerifyCompiled(Protein Split 3) = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", allocs, ceiling)
-	}
-}
-
-// allocCeiling reads one named ceiling from scripts/allocs_floor.txt.
-func allocCeiling(t *testing.T, name string) float64 {
-	t.Helper()
-	f, err := os.Open("../../scripts/allocs_floor.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("allocs_floor.txt: bad ceiling %q: %v", sc.Text(), err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("allocs_floor.txt: no ceiling named %q", name)
-	return 0
+	}))
 }

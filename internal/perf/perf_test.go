@@ -1,98 +1,11 @@
 package perf
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
 	"fppc/internal/obs"
 )
-
-// escapeSink defeats stack allocation in tests that need real heap
-// traffic inside a measured region.
-var escapeSink []byte
-
-func TestSamplerMonotone(t *testing.T) {
-	s := Sampler()
-	a := s()
-	// Burn some heap so the counters must advance.
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	runtime.KeepAlive(sink)
-	b := s()
-	if b.Allocs < a.Allocs {
-		t.Errorf("Allocs went backwards: %d -> %d", a.Allocs, b.Allocs)
-	}
-	if b.Allocs == a.Allocs {
-		t.Errorf("Allocs did not advance over 64 slice allocations")
-	}
-	if b.Bytes <= a.Bytes {
-		t.Errorf("Bytes did not advance: %d -> %d", a.Bytes, b.Bytes)
-	}
-	if b.CPU < a.CPU {
-		t.Errorf("CPU went backwards: %v -> %v", a.CPU, b.CPU)
-	}
-}
-
-func TestTracerCostAnnotations(t *testing.T) {
-	tr := obs.NewTracer()
-	tr.SetCostSampler(Sampler())
-	sp := tr.Span("work")
-	escapeSink = make([]byte, 1<<16)
-	sp.End()
-
-	recs := tr.Records()
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	got := map[string]float64{}
-	for _, a := range recs[0].Args {
-		if a.IsNum {
-			got[a.Key] = a.Num
-		}
-	}
-	for _, k := range []string{obs.CostArgCPU, obs.CostArgAllocs, obs.CostArgBytes} {
-		if _, ok := got[k]; !ok {
-			t.Errorf("span missing cost annotation %q (have %v)", k, recs[0].Args)
-		}
-	}
-	if got[obs.CostArgBytes] < 1<<16 {
-		t.Errorf("bytes delta %v, want >= %d for a 64 KiB allocation", got[obs.CostArgBytes], 1<<16)
-	}
-	if got[obs.CostArgAllocs] < 1 {
-		t.Errorf("allocs delta %v, want >= 1", got[obs.CostArgAllocs])
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	num := func(k string, v float64) obs.Arg { return obs.Arg{Key: k, Num: v, IsNum: true} }
-	recs := []obs.SpanRecord{
-		{Name: "compile", Dur: 10 * time.Millisecond, Args: []obs.Arg{
-			num(obs.CostArgCPU, 5e6), num(obs.CostArgAllocs, 100), num(obs.CostArgBytes, 4096),
-		}},
-		{Name: "route", Dur: 4 * time.Millisecond, Args: []obs.Arg{
-			num(obs.CostArgCPU, 2e6), num(obs.CostArgAllocs, 60), num(obs.CostArgBytes, 1024),
-		}},
-		{Name: "route", Dur: 3 * time.Millisecond, Args: []obs.Arg{
-			num(obs.CostArgCPU, 1e6), num(obs.CostArgAllocs, 40), num(obs.CostArgBytes, 512),
-			{Key: "ignored", Str: "x"},
-		}},
-	}
-	got := Aggregate(recs)
-	if len(got) != 2 {
-		t.Fatalf("got %d stages, want 2: %+v", len(got), got)
-	}
-	if got[0].Stage != "compile" || got[1].Stage != "route" {
-		t.Fatalf("stage order %q,%q, want compile,route (first-seen order)", got[0].Stage, got[1].Stage)
-	}
-	r := got[1]
-	if r.Calls != 2 || r.Wall != 7*time.Millisecond || r.CPU != 3*time.Millisecond ||
-		r.Allocs != 100 || r.Bytes != 1536 {
-		t.Errorf("route aggregate = %+v, want calls=2 wall=7ms cpu=3ms allocs=100 bytes=1536", r)
-	}
-}
 
 func TestCapturerHeap(t *testing.T) {
 	c := NewCapturer(CaptureConfig{Obs: obs.New()})
@@ -227,21 +140,5 @@ func TestDisabledZeroAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("disabled capturer allocated %.1f per run, want 0", got)
-	}
-}
-
-// A tracer without a cost sampler must not pay for the feature: the
-// span fast path stays at its pre-cost allocation count (one span
-// struct, one record append amortized).
-func TestNoSamplerNoExtraCost(t *testing.T) {
-	tr := obs.NewTracer()
-	sp := tr.Span("x")
-	sp.End()
-	for _, r := range tr.Records() {
-		for _, a := range r.Args {
-			if a.Key == obs.CostArgCPU || a.Key == obs.CostArgAllocs || a.Key == obs.CostArgBytes {
-				t.Errorf("sampler-less tracer recorded cost arg %q", a.Key)
-			}
-		}
 	}
 }

@@ -1,3 +1,12 @@
+// Package perf is the compile service's triggered pprof Capturer:
+// bounded CPU and heap profile captures, taken on demand or armed as a
+// per-request SLO Watchdog that fires while the offending request is
+// still running, stored in a fixed ring and linked to the request's
+// journal entry, with the fppc_perf_* metric series accounting for
+// captures and drops.
+//
+// Everything follows the internal/obs discipline: nil receivers are
+// cheap no-ops and the disabled path allocates nothing.
 package perf
 
 import (

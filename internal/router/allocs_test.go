@@ -1,42 +1,11 @@
 package router
 
 import (
-	"bufio"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
+	"fppc/internal/allocfloor"
 	"fppc/internal/assays"
 )
-
-// allocCeiling reads one named ceiling from scripts/allocs_floor.txt —
-// the allocation ratchet committed next to the coverage floor.
-func allocCeiling(t *testing.T, name string) float64 {
-	t.Helper()
-	f, err := os.Open("../../scripts/allocs_floor.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("allocs_floor.txt: bad ceiling %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("allocs_floor.txt: no ceiling named %q", name)
-	return 0
-}
 
 // TestAllocsCeilingRouteFPPC is the router half of the allocation
 // ratchet: a full FPPC route of Protein Split 3 must stay under the
@@ -45,15 +14,11 @@ func allocCeiling(t *testing.T, name string) float64 {
 // count; a regression means a per-move or per-cycle allocation crept
 // back into the hot loop.
 func TestAllocsCeilingRouteFPPC(t *testing.T) {
-	ceiling := allocCeiling(t, "route_fppc_protein3")
 	a := assays.ProteinSplit(3, assays.DefaultTiming())
 	s := fppcSchedule(t, a, 21)
-	allocs := testing.AllocsPerRun(10, func() {
+	allocfloor.Check(t, "route_fppc_protein3", testing.AllocsPerRun(10, func() {
 		if _, err := RouteFPPC(s, Options{}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > ceiling {
-		t.Errorf("RouteFPPC(Protein Split 3) = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", allocs, ceiling)
-	}
+	}))
 }

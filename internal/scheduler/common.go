@@ -148,7 +148,6 @@ type base struct {
 
 	// Observability: pre-resolved instruments so the scheduling loop pays
 	// only nil checks when observation is off.
-	ob         *obs.Observer
 	cDeferred  *obs.Counter // ready ops that could not start this pass
 	cMoves     *obs.Counter
 	cStoreRel  *obs.Counter
@@ -197,7 +196,6 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 		portBusyTo:  make([]int, len(chip.Ports)),
 		portParked:  make([]int, len(chip.Ports)),
 		outPort:     map[string]int{},
-		ob:          ob,
 		cDeferred:   ob.Counter("fppc_sched_deferred_ops_total"),
 		cMoves:      ob.Counter("fppc_sched_moves_total"),
 		cStoreRel:   ob.Counter("fppc_sched_storage_relocations_total"),
@@ -598,8 +596,6 @@ func (b *base) finishSchedule() *Schedule {
 			makespan = op.End
 		}
 	}
-	b.ob.Gauge("fppc_sched_timesteps").Set(float64(makespan))
-	b.ob.Gauge("fppc_sched_peak_stored").Set(float64(b.peakStored))
 	drops := make([]DropletRef, len(b.es.drops))
 	for i, d := range b.es.drops {
 		drops[i] = DropletRef{ID: d.id, Producer: d.producer, Consumer: d.consumer, ChildIdx: d.childIdx}

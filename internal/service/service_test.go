@@ -458,7 +458,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE fppc_service_compile_seconds histogram",
 		"fppc_service_compiles_total 1",
 		`fppc_service_requests_total{code="200",endpoint="/compile"} 1`,
-		"fppc_sched_timesteps", // pipeline metrics flow into the same registry
+		"fppc_sched_moves_total", // pipeline metrics flow into the same registry
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

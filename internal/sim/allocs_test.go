@@ -1,58 +1,35 @@
 package sim_test
 
 import (
-	"bufio"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
+	"fppc/internal/allocfloor"
 	"fppc/internal/sim"
+	"fppc/internal/telemetry"
 )
 
-// allocCeiling reads one named ceiling from scripts/allocs_floor.txt —
-// the allocation ratchet committed next to the coverage floor.
-func allocCeiling(t *testing.T, name string) float64 {
-	t.Helper()
-	f, err := os.Open("../../scripts/allocs_floor.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("allocs_floor.txt: bad ceiling %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("allocs_floor.txt: no ceiling named %q", name)
-	return 0
-}
-
-// TestAllocsCeilingSimReplay is the simulator half of the allocation
+// TestAllocsCeilingSimReplay is the simulator part of the allocation
 // ratchet: a full physics replay of the compiled PCR program must stay
-// under the committed ceiling. The replay loop reuses its active-cell
+// under the committed ceilings. The replay loop reuses its active-cell
 // set, candidate scratch and droplet generation buffers across cycles,
-// so the count is dominated by per-droplet events (dispense, split,
-// merge) — a regression means a per-cycle allocation returned.
+// so the plain count is dominated by per-droplet events (dispense,
+// split, merge) — a regression means a per-cycle allocation returned.
+// The telemetry case adds one collector and its snapshot per replay,
+// what BenchmarkSimTelemetryOn measures.
 func TestAllocsCeilingSimReplay(t *testing.T) {
-	ceiling := allocCeiling(t, "sim_replay_pcr")
 	res := compileBenchProgram(t)
-	allocs := testing.AllocsPerRun(10, func() {
+	allocfloor.Check(t, "sim_replay_pcr", testing.AllocsPerRun(10, func() {
 		if _, err := sim.Run(res.Chip, res.Routing.Program, res.Routing.Events); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > ceiling {
-		t.Errorf("sim.Run(PCR) = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", allocs, ceiling)
-	}
+	}))
+	allocfloor.Check(t, "sim_replay_pcr_telemetry", testing.AllocsPerRun(10, func() {
+		tc := telemetry.New()
+		if _, err := sim.RunCollected(res.Chip, res.Routing.Program, res.Routing.Events, nil, tc); err != nil {
+			t.Fatal(err)
+		}
+		if tc.Snapshot().PinActivations == 0 {
+			t.Fatal("collector recorded nothing")
+		}
+	}))
 }
