@@ -314,18 +314,18 @@ func (s *Set) deadCell(chip *arch.Chip, c grid.Cell) bool {
 // hardware actually does: stuck-open cells and cells on dead pins never
 // energize; stuck-closed cells always do. Implements sim.Injector and
 // half of oracle.FaultInjector.
-func (s *Set) Transform(chip *arch.Chip, active map[grid.Cell]bool) {
+func (s *Set) Transform(chip *arch.Chip, active *grid.CellSet) {
 	for c := range s.open {
-		delete(active, c)
+		active.Del(c)
 	}
 	for pin := range s.dead {
 		for _, c := range chip.PinCells(pin) {
-			delete(active, c)
+			active.Del(c)
 		}
 	}
 	for c := range s.closed {
 		if chip.ElectrodeAt(c) != nil {
-			active[c] = true
+			active.Add(c)
 		}
 	}
 }

@@ -153,20 +153,21 @@ func TestTransformSemantics(t *testing.T) {
 		Fault{Kind: DeadPin, Pin: deadPin},
 	)
 
-	active := map[grid.Cell]bool{openCell: true}
+	active := grid.NewCellSet(chip.W, chip.H)
+	active.Add(openCell)
 	for _, c := range chip.PinCells(deadPin) {
-		active[c] = true
+		active.Add(c)
 	}
 	s.Transform(chip, active)
-	if active[openCell] {
+	if active.Has(openCell) {
 		t.Error("stuck-open cell still active after Transform")
 	}
 	for _, c := range chip.PinCells(deadPin) {
-		if active[c] {
+		if active.Has(c) {
 			t.Errorf("dead-pin cell %v still active after Transform", c)
 		}
 	}
-	if !active[closedCell] {
+	if !active.Has(closedCell) {
 		t.Error("stuck-closed cell not active after Transform")
 	}
 

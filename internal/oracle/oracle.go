@@ -16,12 +16,15 @@
 package oracle
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"fppc/internal/arch"
 	"fppc/internal/dag"
@@ -195,18 +198,27 @@ type FaultPoint struct {
 // energize (stuck-open cells, dead pin drivers); StuckOn lists the
 // electrodes that are energized no matter what is driven.
 type FaultInjector interface {
-	Transform(chip *arch.Chip, active map[grid.Cell]bool)
+	Transform(chip *arch.Chip, active *grid.CellSet)
 	Refused(chip *arch.Chip, act pins.Activation) []FaultPoint
 	StuckOn(chip *arch.Chip) []FaultPoint
 }
 
 // blob is the oracle's independent droplet model: one or two occupied
-// cells plus the volume ledger.
+// cells plus the volume ledger. The cells live in the blob's own array,
+// and the replay rewrites them in place.
 type blob struct {
 	id     int
 	cells  []grid.Cell
 	volume float64
-	solute map[string]float64
+	at     [2]grid.Cell // backing array of cells
+}
+
+// newBlob places a fresh single-cell body under the next droplet ID.
+func (v *verifier) newBlob(c grid.Cell, volume float64) *blob {
+	b := &blob{id: v.nextID, volume: volume}
+	b.cells = append(b.at[:0], c)
+	v.nextID++
+	return b
 }
 
 func (b *blob) covers(c grid.Cell) bool {
@@ -218,21 +230,32 @@ func (b *blob) covers(c grid.Cell) bool {
 	return false
 }
 
-// verifier carries replay state.
+// verifier carries replay state. The per-cycle sets and buffers are
+// reused from cycle to cycle, so a replay allocates per droplet event,
+// not per cycle.
 type verifier struct {
 	chip     *arch.Chip
 	pinCells [][]grid.Cell // pin id -> electrode cells, rebuilt from the wiring
 	blobs    []*blob
+	spare    []*blob // step's next generation, swapped with blobs
 	nextID   int
 	rep      *Report
 	opts     Options
 	fp       hash.Hash // running digest of per-cycle footprints
+	foot     footprint // renders each cycle's footprints for fp
 
 	// justify collects the cells that legitimize activations this
 	// cycle: every live droplet cell plus cells vacated by this cycle's
 	// output events.
-	justify map[grid.Cell]bool
+	justify *grid.CellSet
+	// active holds this cycle's energized electrodes; seen and pulls are
+	// reach's per-blob scratch.
+	active *grid.CellSet
+	seen   *grid.CellSet
+	pulls  []grid.Cell
 
+	// stuckOn is Faults.StuckOn, listed once per replay in detection mode.
+	stuckOn []FaultPoint
 	// refusedSeen/stuckSeen deduplicate fault findings: each faulted
 	// electrode is reported at most once per replay, so a dead bus-phase
 	// pin does not exhaust the violation budget by itself.
@@ -248,43 +271,50 @@ func Verify(chip *arch.Chip, prog *pins.Program, events []router.Event, opts Opt
 	if opts.MaxViolations <= 0 {
 		opts.MaxViolations = 32
 	}
-	v := &verifier{chip: chip, rep: &Report{}, opts: opts, fp: sha256.New()}
+	v := &verifier{chip: chip, rep: &Report{}, opts: opts, fp: sha256.New(),
+		justify: grid.NewCellSet(chip.W, chip.H),
+		active:  grid.NewCellSet(chip.W, chip.H),
+		seen:    grid.NewCellSet(chip.W, chip.H),
+	}
 	v.buildPinMap()
 	if opts.Faults != nil {
 		v.refusedSeen = map[grid.Cell]bool{}
 		v.stuckSeen = map[grid.Cell]bool{}
+		if !opts.KnownFaults {
+			v.stuckOn = opts.Faults.StuckOn(chip)
+		}
 	}
 	opts.Collector.BindChip(chip)
 	evIdx := 0
 	cyc := 0
 	for ; cyc < prog.Len(); cyc++ {
-		v.justify = make(map[grid.Cell]bool)
+		v.justify.Reset()
 		for evIdx < len(events) && events[evIdx].Cycle == cyc {
 			v.applyEvent(cyc, events[evIdx])
 			evIdx++
 		}
 		for _, b := range v.blobs {
 			for _, c := range b.cells {
-				v.justify[c] = true
+				v.justify.Add(c)
 			}
 		}
 		act := prog.Cycle(cyc)
-		active := v.activeCells(cyc, act)
+		v.activeCells(cyc, act)
 		if !opts.DisableSpuriousCheck {
 			v.checkSpurious(cyc, act)
 		}
 		if opts.Faults != nil {
-			v.injectFaults(cyc, act, active)
+			v.injectFaults(cyc, act)
 		}
 		opts.Collector.Frame(act)
-		v.step(cyc, active)
+		v.step(cyc)
 		v.mergePass(cyc)
 		if opts.Collector != nil {
 			for _, b := range v.blobs {
 				opts.Collector.Occupy(b.id, b.cells)
 			}
 		}
-		v.hashFootprint(cyc)
+		v.fp.Write(v.foot.render(cyc, v.blobs))
 		if len(v.rep.Violations) >= opts.MaxViolations {
 			v.rep.Truncated = true
 			cyc++
@@ -304,26 +334,56 @@ func Verify(chip *arch.Chip, prog *pins.Program, events []router.Event, opts Opt
 	return v.rep
 }
 
-// hashFootprint folds this cycle's droplet footprints into the running
-// digest, ID-independently: each blob renders as its sorted cells plus
-// volume, and the renderings are hashed in sorted order.
-func (v *verifier) hashFootprint(cyc int) {
-	lines := make([]string, 0, len(v.blobs))
-	for _, b := range v.blobs {
-		cells := append([]grid.Cell(nil), b.cells...)
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Y != cells[j].Y {
-				return cells[i].Y < cells[j].Y
+// footprint renders one cycle's droplet footprints for the running
+// digest, ID-independently, into buffers reused across cycles: "c<cyc>:",
+// then each blob as "[(x,y) (x,y)]@<volume>;" with its cells in (y,x)
+// order and the volume as %.9g renders it, the blob renderings sorted
+// bytewise.
+type footprint struct {
+	lines []byte      // every blob's rendering, back to back
+	spans [][2]int    // [start, end) of each rendering in lines
+	cells []grid.Cell // one blob's cells, sorted
+	out   []byte
+}
+
+// render returns the cycle's bytes; they stay valid until the next call.
+func (f *footprint) render(cyc int, blobs []*blob) []byte {
+	f.lines, f.spans = f.lines[:0], f.spans[:0]
+	for _, b := range blobs {
+		start := len(f.lines)
+		f.cells = append(f.cells[:0], b.cells...)
+		slices.SortFunc(f.cells, func(p, q grid.Cell) int {
+			if p.Y != q.Y {
+				return cmp.Compare(p.Y, q.Y)
 			}
-			return cells[i].X < cells[j].X
+			return cmp.Compare(p.X, q.X)
 		})
-		lines = append(lines, fmt.Sprintf("%v@%.9g", cells, b.volume))
+		f.lines = append(f.lines, '[')
+		for i, c := range f.cells {
+			if i > 0 {
+				f.lines = append(f.lines, ' ')
+			}
+			f.lines = append(f.lines, '(')
+			f.lines = strconv.AppendInt(f.lines, int64(c.X), 10)
+			f.lines = append(f.lines, ',')
+			f.lines = strconv.AppendInt(f.lines, int64(c.Y), 10)
+			f.lines = append(f.lines, ')')
+		}
+		f.lines = append(f.lines, "]@"...)
+		f.lines = strconv.AppendFloat(f.lines, b.volume, 'g', 9, 64)
+		f.spans = append(f.spans, [2]int{start, len(f.lines)})
 	}
-	sort.Strings(lines)
-	fmt.Fprintf(v.fp, "c%d:", cyc)
-	for _, l := range lines {
-		fmt.Fprint(v.fp, l, ";")
+	slices.SortFunc(f.spans, func(p, q [2]int) int {
+		return bytes.Compare(f.lines[p[0]:p[1]], f.lines[q[0]:q[1]])
+	})
+	f.out = append(f.out[:0], 'c')
+	f.out = strconv.AppendInt(f.out, int64(cyc), 10)
+	f.out = append(f.out, ':')
+	for _, sp := range f.spans {
+		f.out = append(f.out, f.lines[sp[0]:sp[1]]...)
+		f.out = append(f.out, ';')
 	}
+	return f.out
 }
 
 // buildPinMap derives pin -> cells from the electrode table, on purpose
@@ -353,11 +413,7 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 				}
 			}
 		}
-		v.blobs = append(v.blobs, &blob{
-			id: v.nextID, cells: []grid.Cell{ev.Cell}, volume: 1,
-			solute: map[string]float64{ev.Fluid: 1},
-		})
-		v.nextID++
+		v.blobs = append(v.blobs, v.newBlob(ev.Cell, 1))
 		v.rep.Dispenses++
 		v.rep.VolumeIn++
 	case router.EvOutput:
@@ -366,7 +422,7 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 				v.rep.Outputs++
 				v.rep.VolumeOut += b.volume
 				for _, c := range b.cells {
-					v.justify[c] = true // port actuation this cycle is not spurious
+					v.justify.Add(c) // port actuation this cycle is not spurious
 				}
 				v.blobs = append(v.blobs[:i], v.blobs[i+1:]...)
 				return
@@ -380,10 +436,10 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 	}
 }
 
-// activeCells expands the frame's pin list into energized electrode
-// positions using the oracle's own wiring map.
-func (v *verifier) activeCells(cyc int, act pins.Activation) map[grid.Cell]bool {
-	out := make(map[grid.Cell]bool)
+// activeCells expands the frame's pin list into v.active, the energized
+// electrode positions, using the oracle's own wiring map.
+func (v *verifier) activeCells(cyc int, act pins.Activation) {
+	v.active.Reset()
 	for _, pin := range act {
 		if pin <= 0 || pin >= len(v.pinCells) {
 			v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Pin: pin,
@@ -391,10 +447,9 @@ func (v *verifier) activeCells(cyc int, act pins.Activation) map[grid.Cell]bool 
 			continue
 		}
 		for _, c := range v.pinCells[pin] {
-			out[c] = true
+			v.active.Add(c)
 		}
 	}
-	return out
 }
 
 // checkSpurious flags pins whose electrodes are all out of reach of
@@ -413,12 +468,12 @@ func (v *verifier) checkSpurious(cyc int, act pins.Activation) {
 			// On a justify cell or cardinally adjacent to one: only there
 			// can the activation move fluid (diagonal neighbours exert no
 			// pull), so anything farther is wasted actuation.
-			if v.justify[c] {
+			if v.justify.Has(c) {
 				justified = true
 				break
 			}
 			for _, n := range c.Neighbors4() {
-				if v.justify[n] {
+				if v.justify.Has(n) {
 					justified = true
 					break cells
 				}
@@ -441,7 +496,7 @@ func (v *verifier) checkSpurious(cyc int, act pins.Activation) {
 // droplet physics runs, so physics-level consequences (lost droplets,
 // overpulls near a stuck-closed cell) surface through the ordinary
 // invariants.
-func (v *verifier) injectFaults(cyc int, act pins.Activation, active map[grid.Cell]bool) {
+func (v *verifier) injectFaults(cyc int, act pins.Activation) {
 	for _, p := range v.opts.Faults.Refused(v.chip, act) {
 		if v.refusedSeen[p.Cell] {
 			continue
@@ -453,32 +508,26 @@ func (v *verifier) injectFaults(cyc int, act pins.Activation, active map[grid.Ce
 		v.flag(Violation{Kind: RefusedActuation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
 			Msg: fmt.Sprintf("pin %d driven but electrode %v cannot energize (stuck-open or dead driver)", p.Pin, p.Cell)})
 	}
-	if !v.opts.KnownFaults {
-		driven := make(map[int]bool, len(act))
-		for _, pin := range act {
-			driven[pin] = true
+	for _, p := range v.stuckOn {
+		if v.stuckSeen[p.Cell] || slices.Contains(act, p.Pin) {
+			continue
 		}
-		for _, p := range v.opts.Faults.StuckOn(v.chip) {
-			if v.stuckSeen[p.Cell] || driven[p.Pin] {
-				continue
-			}
-			v.stuckSeen[p.Cell] = true
-			v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
-				Msg: fmt.Sprintf("electrode %v energized while pin %d is idle: stuck-closed", p.Cell, p.Pin)})
-		}
+		v.stuckSeen[p.Cell] = true
+		v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
+			Msg: fmt.Sprintf("electrode %v energized while pin %d is idle: stuck-closed", p.Cell, p.Pin)})
 	}
-	v.opts.Faults.Transform(v.chip, active)
+	v.opts.Faults.Transform(v.chip, v.active)
 }
 
 // nearJustified reports whether the cell is on, or cardinally adjacent
 // to, a cell that legitimizes actuation this cycle — the only positions
 // where a refusing electrode actually costs the program fluid motion.
 func (v *verifier) nearJustified(c grid.Cell) bool {
-	if v.justify[c] {
+	if v.justify.Has(c) {
 		return true
 	}
 	for _, n := range c.Neighbors4() {
-		if v.justify[n] {
+		if v.justify.Has(n) {
 			return true
 		}
 	}
@@ -486,10 +535,10 @@ func (v *verifier) nearJustified(c grid.Cell) bool {
 }
 
 // step recomputes every droplet's position from the energized set.
-func (v *verifier) step(cyc int, active map[grid.Cell]bool) {
-	var next []*blob
+func (v *verifier) step(cyc int) {
+	next := v.spare[:0]
 	for _, b := range v.blobs {
-		moved, extra := v.advance(cyc, b, active)
+		moved, extra := v.advance(cyc, b)
 		if moved != nil {
 			next = append(next, moved)
 		}
@@ -498,19 +547,20 @@ func (v *verifier) step(cyc int, active map[grid.Cell]bool) {
 			v.rep.Splits++
 		}
 	}
-	v.blobs = next
+	// Swap generations: the old list becomes next cycle's scratch.
+	v.blobs, v.spare = next, v.blobs
 }
 
 // reach collects the energized electrodes that can act on the blob: its
 // own cells plus cardinal neighbours, deduplicated, in deterministic
-// order (own cells first).
-func (v *verifier) reach(b *blob, active map[grid.Cell]bool) []grid.Cell {
-	seen := map[grid.Cell]bool{}
-	var out []grid.Cell
+// order (own cells first). The result is valid until the next call.
+func (v *verifier) reach(b *blob) []grid.Cell {
+	v.seen.Reset()
+	out := v.pulls[:0]
 	add := func(c grid.Cell) {
-		if !seen[c] {
-			seen[c] = true
-			if active[c] {
+		if !v.seen.Has(c) {
+			v.seen.Add(c)
+			if v.active.Has(c) {
 				out = append(out, c)
 			}
 		}
@@ -523,13 +573,15 @@ func (v *verifier) reach(b *blob, active map[grid.Cell]bool) []grid.Cell {
 			add(n)
 		}
 	}
+	v.pulls = out
 	return out
 }
 
-// advance derives the blob's next footprint. A nil first return drops
-// the blob (after flagging); a non-nil second return is a split half.
-func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, *blob) {
-	pulls := v.reach(b, active)
+// advance derives the blob's next footprint, rewriting its cells in
+// place. A nil first return drops the blob (after flagging); a non-nil
+// second return is a split half.
+func (v *verifier) advance(cyc int, b *blob) (*blob, *blob) {
+	pulls := v.reach(b)
 	switch {
 	case len(pulls) == 0:
 		v.flag(Violation{Kind: DropletLost, Cycle: cyc, Droplet: b.id, Cell: b.cells[0],
@@ -540,7 +592,7 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 			Msg: fmt.Sprintf("droplet %d at %v reached by %d energized electrodes", b.id, b.cells[0], len(pulls))})
 		return nil, nil
 	case len(pulls) == 1:
-		b.cells = []grid.Cell{pulls[0]}
+		b.cells = append(b.cells[:0], pulls[0])
 		return b, nil
 	}
 	// Exactly two energized electrodes in reach.
@@ -550,7 +602,7 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 	switch {
 	case onBody && qOnBody:
 		// Both under the body: hold the stretch.
-		b.cells = []grid.Cell{p, q}
+		b.cells = append(b.cells[:0], p, q)
 		return b, nil
 	case !onBody && !qOnBody:
 		// Neither energized electrode holds the body: the droplet is
@@ -567,22 +619,14 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 	if len(b.cells) == 1 {
 		// A single-cell droplet held by its own electrode and pulled by
 		// a cardinal neighbour stretches across the pair.
-		b.cells = []grid.Cell{keep, pull}
+		b.cells = append(b.cells[:0], keep, pull)
 		return b, nil
 	}
 	// Stretched droplet with one end held and the other half pulled
 	// away: a split (paper Figure 8).
-	half := b.volume / 2
-	halfSolute := make(map[string]float64, len(b.solute))
-	for f, amt := range b.solute {
-		halfSolute[f] = amt / 2
-		b.solute[f] = amt / 2
-	}
-	b.cells = []grid.Cell{keep}
-	b.volume = half
-	other := &blob{id: v.nextID, cells: []grid.Cell{pull}, volume: half, solute: halfSolute}
-	v.nextID++
-	return b, other
+	b.volume /= 2
+	b.cells = append(b.cells[:0], keep)
+	return b, v.newBlob(pull, b.volume)
 }
 
 // mergePass coalesces droplets within fluidic interference range
@@ -597,15 +641,15 @@ func (v *verifier) mergePass(cyc int) {
 				if !blobsNear(v.blobs[i], v.blobs[j]) {
 					continue
 				}
+				// The union of the cells, trimmed to two; the next
+				// cycle's activation contracts it onto one electrode.
 				a, b := v.blobs[i], v.blobs[j]
-				cells := append(append([]grid.Cell{}, a.cells...), b.cells...)
-				if len(cells) > 2 {
-					cells = cells[:2]
+				for _, c := range b.cells {
+					if len(a.cells) == 2 {
+						break
+					}
+					a.cells = append(a.cells, c)
 				}
-				for f, amt := range b.solute {
-					a.solute[f] += amt
-				}
-				a.cells = cells
 				a.volume += b.volume
 				v.blobs = append(v.blobs[:j], v.blobs[j+1:]...)
 				v.rep.Merges++

@@ -107,10 +107,6 @@ func TestWatchdogCooldown(t *testing.T) {
 	if id := w2.Finish(); id != "" {
 		t.Errorf("second breach inside cooldown captured %q, want drop", id)
 	}
-	reg := obs.NewRegistry()
-	// The drop must be accounted. Recreate the counter handle off the
-	// capturer's own registry instead: ask the capturer's obs.
-	_ = reg
 	if n := c.dropped("cooldown").Value(); n != 1 {
 		t.Errorf("cooldown drops = %d, want 1", n)
 	}

@@ -56,24 +56,13 @@ func (p *Program) Cycle(i int) Activation { return p.cycles[i] }
 // ActiveCells expands an activation into the set of energized electrodes
 // on the chip.
 func ActiveCells(c *arch.Chip, act Activation) map[grid.Cell]bool {
-	return ActiveCellsInto(c, act, nil)
-}
-
-// ActiveCellsInto is ActiveCells writing into dst (cleared first), so a
-// replay loop can reuse one map across cycles instead of allocating one
-// per cycle. A nil dst allocates, making ActiveCells a trivial wrapper.
-func ActiveCellsInto(c *arch.Chip, act Activation, dst map[grid.Cell]bool) map[grid.Cell]bool {
-	if dst == nil {
-		dst = make(map[grid.Cell]bool)
-	} else {
-		clear(dst)
-	}
+	out := make(map[grid.Cell]bool)
 	for _, pin := range act {
 		for _, cell := range c.PinCells(pin) {
-			dst[cell] = true
+			out[cell] = true
 		}
 	}
-	return dst
+	return out
 }
 
 // Validate checks that every referenced pin exists on the chip.

@@ -44,6 +44,9 @@ func newReplay(chip *arch.Chip, prog *pins.Program, events []router.Event, ob *o
 		st: state{
 			chip:    chip,
 			trace:   &Trace{},
+			residue: make([]cellResidue, chip.W*chip.H),
+			active:  grid.NewCellSet(chip.W, chip.H),
+			seen:    grid.NewCellSet(chip.W, chip.H),
 			cCycles: ob.Counter("fppc_sim_cycles_total"),
 			cMoves:  ob.Counter("fppc_sim_droplet_moves_total"),
 			cChecks: ob.Counter("fppc_sim_interference_checks_total"),
@@ -93,13 +96,18 @@ func (r *Replay) Step() bool {
 		r.evIdx++
 	}
 	frame := r.prog.Cycle(cyc)
-	s.activeBuf = pins.ActiveCellsInto(r.chip, frame, s.activeBuf)
+	s.active.Reset()
+	for _, pin := range frame {
+		for _, c := range r.chip.PinCells(pin) {
+			s.active.Add(c)
+		}
+	}
 	if r.inj != nil {
-		r.inj.Transform(r.chip, s.activeBuf)
+		r.inj.Transform(r.chip, s.active)
 	}
 	s.cCycles.Inc()
 	s.tc.Frame(frame)
-	if r.err = s.step(cyc, s.activeBuf); r.err != nil {
+	if r.err = s.step(cyc); r.err != nil {
 		return false
 	}
 	r.cycle++

@@ -45,10 +45,33 @@ func TestReplayMatchesRun(t *testing.T) {
 	}
 }
 
+// table1Traces pins the simulator's trace of every Table 1 program
+// (FPPC, auto-grown, one rotation per step): cycles, merges, splits,
+// cross contacts over foreign residue and droplets left on the array.
+var table1Traces = []struct {
+	name                                             string
+	cycles, merges, splits, crossContacts, remaining int
+}{
+	{"PCR", 200, 7, 0, 95, 0},
+	{"In-Vitro 1", 194, 4, 0, 84, 0},
+	{"In-Vitro 2", 326, 6, 0, 182, 0},
+	{"In-Vitro 3", 483, 9, 0, 302, 0},
+	{"In-Vitro 4", 717, 12, 0, 502, 0},
+	{"In-Vitro 5", 1033, 16, 0, 757, 0},
+	{"Protein Split 1", 440, 9, 9, 6, 0},
+	{"Protein Split 2", 927, 19, 19, 6, 0},
+	{"Protein Split 3", 1932, 39, 39, 6, 0},
+	{"Protein Split 4", 4160, 79, 79, 6, 0},
+	{"Protein Split 5", 8986, 159, 159, 6, 0},
+	{"Protein Split 6", 18699, 319, 319, 6, 0},
+	{"Protein Split 7", 41917, 639, 639, 6, 0},
+}
+
 // TestReplayToEndMatchesRun steps a Replay through every Table 1
 // program, and through PCR's program broken three ways: the final trace
 // and error must be Run's, including the error for reservoir events
-// scheduled past the program's end.
+// scheduled past the program's end. The Table 1 traces must also match
+// table1Traces.
 func TestReplayToEndMatchesRun(t *testing.T) {
 	type replayCase struct {
 		name    string
@@ -91,10 +114,18 @@ func TestReplayToEndMatchesRun(t *testing.T) {
 		replayCase{"PCR, events past the end", pcr.chip, pcr.prog, past, "beyond the program's end"},
 		replayCase{"PCR, output with no droplet", pcr.chip, pcr.prog, stray, "no droplet at the port"},
 		replayCase{"PCR, blank frame", pcr.chip, &blank, pcr.events, "drifts"})
-	for _, c := range cases {
+	for i, c := range cases {
 		want, wantErr := Run(c.chip, c.prog, c.events)
 		if (wantErr == nil) != (c.wantErr == "") || (wantErr != nil && !strings.Contains(wantErr.Error(), c.wantErr)) {
 			t.Fatalf("%s: Run returned %v, want an error containing %q", c.name, wantErr, c.wantErr)
+		}
+		if i < len(table1Traces) {
+			w := table1Traces[i]
+			if c.name != w.name || want.Cycles != w.cycles || want.Merges != w.merges || want.Splits != w.splits ||
+				want.CrossContacts != w.crossContacts || len(want.Remaining) != w.remaining {
+				t.Errorf("%s: cycles %d, merges %d, splits %d, cross contacts %d, remaining %d; want %+v",
+					c.name, want.Cycles, want.Merges, want.Splits, want.CrossContacts, len(want.Remaining), w)
+			}
 		}
 		r := NewReplay(c.chip, c.prog, c.events)
 		for r.Step() {

@@ -150,7 +150,7 @@ func RunCollected(chip *arch.Chip, prog *pins.Program, events []router.Event, ob
 // stuck-closed electrode is added even when its pin is idle. The
 // canonical implementation is faults.Set.
 type Injector interface {
-	Transform(chip *arch.Chip, active map[grid.Cell]bool)
+	Transform(chip *arch.Chip, active *grid.CellSet)
 }
 
 // RunInjected is RunCollected with a hardware fault injector applied to
@@ -176,23 +176,32 @@ type state struct {
 	trace  *Trace
 	tc     *telemetry.Collector // nil when telemetry is off
 
-	// residue records the dominant fluid last deposited on each cell.
-	residue map[grid.Cell]string
+	// residue records, row-major per cell, the dominant fluid last
+	// deposited there.
+	residue []cellResidue
 
 	// Per-cycle scratch, reused so the replay loop stays allocation-free
-	// on its steady state (pinned by the allocs/op floor in bench_test):
-	// the active-cell set, advance's candidate bookkeeping, and step's
-	// next-generation droplet list.
-	activeBuf map[grid.Cell]bool
-	seenBuf   map[grid.Cell]bool
-	pullsBuf  []grid.Cell
-	dropsBuf  []*Droplet
+	// on its steady state (pinned by the sim_replay_pcr ceiling in
+	// scripts/allocs_floor.txt): the energized-electrode set, reset each
+	// cycle; advance's candidate set, reset per droplet, and its pull
+	// list; and step's next-generation droplet list.
+	active   *grid.CellSet
+	seen     *grid.CellSet
+	pullsBuf []grid.Cell
+	dropsBuf []*Droplet
 
 	cCycles *obs.Counter
 	cMoves  *obs.Counter
 	cChecks *obs.Counter
 	cMerges *obs.Counter
 	cSplits *obs.Counter
+}
+
+// cellResidue is one cell's residue: the dominant fluid of the last
+// droplet that covered it, once any has.
+type cellResidue struct {
+	fluid string
+	dirty bool
 }
 
 // apply handles a reservoir event at the start of a cycle.
@@ -230,11 +239,11 @@ func (s *state) apply(cyc int, ev router.Event) error {
 	return fmt.Errorf("sim: unknown event kind %d", int(ev.Kind))
 }
 
-// step advances every droplet one actuation cycle.
-func (s *state) step(cyc int, active map[grid.Cell]bool) error {
+// step advances every droplet one actuation cycle under s.active.
+func (s *state) step(cyc int) error {
 	newDrops := s.dropsBuf[:0]
 	for _, d := range s.drops {
-		moved, extra, err := s.advance(cyc, d, active)
+		moved, extra, err := s.advance(cyc, d)
 		if err != nil {
 			return err
 		}
@@ -260,18 +269,17 @@ func (s *state) step(cyc int, active map[grid.Cell]bool) error {
 }
 
 // trackResidue updates per-cell residue footprints and counts crossings
-// over foreign residue.
+// over foreign residue. It runs right after advance, which leaves every
+// droplet on energized electrodes, so every cell is on the array.
 func (s *state) trackResidue() {
-	if s.residue == nil {
-		s.residue = map[grid.Cell]string{}
-	}
 	for _, d := range s.drops {
 		fluid := dominantFluid(d)
 		for _, c := range d.Cells {
-			if prev, dirty := s.residue[c]; dirty && prev != fluid {
+			r := &s.residue[c.Y*s.chip.W+c.X]
+			if r.dirty && r.fluid != fluid {
 				s.trace.CrossContacts++
 			}
-			s.residue[c] = fluid
+			r.fluid, r.dirty = fluid, true
 		}
 	}
 }
@@ -290,22 +298,17 @@ func dominantFluid(d *Droplet) string {
 
 // advance computes a droplet's response to the activation pattern. It
 // may return a second droplet when the fluid splits.
-func (s *state) advance(cyc int, d *Droplet, active map[grid.Cell]bool) (*Droplet, *Droplet, error) {
+func (s *state) advance(cyc int, d *Droplet) (*Droplet, *Droplet, error) {
 	// Candidate electrodes: the droplet's own cells and their cardinal
 	// neighbours that carry electrodes.
-	if s.seenBuf == nil {
-		s.seenBuf = map[grid.Cell]bool{}
-	} else {
-		clear(s.seenBuf)
-	}
-	seen := s.seenBuf
+	s.seen.Reset()
 	pulls := s.pullsBuf[:0]
 	consider := func(c grid.Cell) {
-		if seen[c] {
+		if s.seen.Has(c) {
 			return
 		}
-		seen[c] = true
-		if active[c] && s.chip.ElectrodeAt(c) != nil {
+		s.seen.Add(c)
+		if s.active.Has(c) && s.chip.ElectrodeAt(c) != nil {
 			pulls = append(pulls, c)
 		}
 	}
