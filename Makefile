@@ -51,9 +51,10 @@ cover:
 cover-update:
 	sh scripts/coverage.sh -update
 
-# golden regenerates the golden corpora — the oracle's pristine traces
-# and the degraded-chip (fault-aware) compiles; CI fails if the result
-# differs from what is checked in.
+# golden regenerates the golden corpora — the oracle's pristine traces,
+# the degraded-chip (fault-aware) compiles and the fleet scenario
+# timelines; CI fails if the result differs from what is checked in.
 golden:
 	$(GO) test ./internal/oracle -run TestGoldenTraces -update
 	$(GO) test ./internal/faults -run TestGoldenDegraded -update
+	$(GO) test ./internal/fleet -run TestGoldenScenarios -update

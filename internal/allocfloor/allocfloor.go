@@ -1,10 +1,10 @@
 // Package allocfloor enforces the allocation ratchet,
 // scripts/allocs_floor.txt: one "name ceiling" pair per line, with
 // '#' comment lines. The ceiling tests of internal/core, internal/dag,
-// internal/faults, internal/oracle, internal/router and internal/sim
-// call it. go test runs each in its package directory, two levels below
-// the repository root, so the path below is relative to such a
-// directory.
+// internal/faults, internal/fleet, internal/oracle, internal/router and
+// internal/sim call it. go test runs each in its package directory,
+// two levels below the repository root, so the path below is relative
+// to such a directory.
 package allocfloor
 
 import (

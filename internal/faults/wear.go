@@ -7,18 +7,19 @@ import (
 
 	"fppc/internal/arch"
 	"fppc/internal/grid"
+	"fppc/internal/pins"
 	"fppc/internal/telemetry"
 )
 
 // WearState accumulates per-electrode actuation counts across the
 // lifetime of one physical chip. Each compiled program that runs on the
-// chip contributes its telemetry snapshot (Absorb); fleet scenarios and
-// tests that need reproducible degradation without a real replay use
-// AdvanceSeeded instead. The accumulated state converts back into the
-// telemetry Snapshot form, where each electrode's Duty is the fraction
-// of its rated actuation life already consumed — so FromWear (the
-// facade's FaultsFromWear) with threshold 1.0 yields the chip's
-// wear-derived fault set.
+// chip contributes its commanded wear (Absorb of CommandedWear); fleet
+// scenarios and tests that need reproducible degradation without a
+// program use AdvanceSeeded instead. The accumulated state converts
+// back into the telemetry Snapshot form, where each electrode's Duty is
+// the fraction of its rated actuation life already consumed — so
+// FromWear (the facade's FaultsFromWear) with threshold 1.0 yields the
+// chip's wear-derived fault set.
 //
 // The model is cycle-count dielectric degradation: an electrode is worn
 // out after ratedLife actuation cycles, independent of how the cycles
@@ -51,17 +52,56 @@ func (w *WearState) Actuations(c grid.Cell) int64 {
 	return w.acts[c]
 }
 
-// Absorb adds one executed program's telemetry to the wear record:
-// every electrode's actuation count and the program's cycle count.
-func (w *WearState) Absorb(snap *telemetry.Snapshot) {
-	if w == nil || snap == nil {
+// ProgramWear is the wear one run of a compiled program adds to its
+// chip: the cycles it runs and, in row-major order, every electrode it
+// actuates with its actuation count.
+type ProgramWear struct {
+	Cycles     int64
+	Electrodes []ElectrodeWear
+}
+
+// ElectrodeWear is one electrode's share of a ProgramWear.
+type ElectrodeWear struct {
+	Cell       grid.Cell
+	Actuations int64
+}
+
+// CommandedWear counts the wear the program commands on the chip: each
+// cycle drives its frame's pins, and a driven pin actuates every
+// electrode wired to it. These are the counts a telemetry collector
+// records over a full replay of the same program, which also counts
+// the commanded frames (with or without injected faults), so they need
+// no droplet physics. A nil program commands no wear.
+func CommandedWear(chip *arch.Chip, prog *pins.Program) ProgramWear {
+	if prog == nil {
+		return ProgramWear{}
+	}
+	pinActs := make([]int64, chip.PinCount()+1)
+	for i := 0; i < prog.Len(); i++ {
+		for _, pin := range prog.Cycle(i) {
+			if pin > 0 && pin < len(pinActs) {
+				pinActs[pin]++
+			}
+		}
+	}
+	pw := ProgramWear{Cycles: int64(prog.Len())}
+	for _, e := range chip.Electrodes() {
+		if n := pinActs[e.Pin]; n > 0 {
+			pw.Electrodes = append(pw.Electrodes, ElectrodeWear{Cell: e.Cell, Actuations: n})
+		}
+	}
+	return pw
+}
+
+// Absorb adds one program run's wear to the record: every electrode's
+// actuation count and the program's cycle count.
+func (w *WearState) Absorb(pw ProgramWear) {
+	if w == nil {
 		return
 	}
-	w.cycles += int64(snap.Cycles)
-	for _, e := range snap.Electrodes {
-		if e.Actuations > 0 {
-			w.acts[grid.Cell{X: e.X, Y: e.Y}] += e.Actuations
-		}
+	w.cycles += pw.Cycles
+	for _, e := range pw.Electrodes {
+		w.acts[e.Cell] += e.Actuations
 	}
 }
 
@@ -142,8 +182,8 @@ func containsCell(cs []grid.Cell, c grid.Cell) bool {
 	return false
 }
 
-// Clone returns an independent copy, for what-if wear projections
-// (absorb a candidate program, inspect the resulting consumption).
+// Clone returns an independent copy, a consistent read of the record
+// while the original keeps changing.
 func (w *WearState) Clone() *WearState {
 	out := NewWearState()
 	if w == nil {
@@ -174,6 +214,23 @@ func (w *WearState) MaxConsumed(ratedLife int64) float64 {
 	var max float64
 	for _, n := range w.acts {
 		if v := float64(n) / float64(ratedLife); v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// MaxConsumedAfter returns what MaxConsumed would read after
+// Absorb(pw), without changing the record: the larger of the current
+// worst consumption and each absorbed electrode's (actuations + n) /
+// ratedLife. The values are the same float64s, bit for bit.
+func (w *WearState) MaxConsumedAfter(pw ProgramWear, ratedLife int64) float64 {
+	if ratedLife <= 0 {
+		return 0
+	}
+	max := w.MaxConsumed(ratedLife)
+	for _, e := range pw.Electrodes {
+		if v := float64(w.Actuations(e.Cell)+e.Actuations) / float64(ratedLife); v > max {
 			max = v
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"fppc/internal/arch"
@@ -12,30 +13,63 @@ import (
 	"fppc/internal/telemetry"
 )
 
-// compileSnapshot compiles PCR on the workhorse chip and replays it
-// through the collector, producing a real wear-contributing snapshot.
-func compileSnapshot(t *testing.T) *telemetry.Snapshot {
+// compileWear compiles PCR on the workhorse chip around the faults of
+// set (nil for none), replays it through a telemetry collector with
+// those faults injected, and returns the replay's snapshot and the
+// program's commanded wear.
+func compileWear(t *testing.T, set *Set) (*telemetry.Snapshot, ProgramWear) {
 	t.Helper()
-	tc := telemetry.New()
-	res, err := core.Compile(assays.PCR(assays.DefaultTiming()), core.Config{
-		Target: core.TargetFPPC,
-		Router: router.Options{EmitProgram: true, Telemetry: tc},
-	})
+	cfg := core.Config{Target: core.TargetFPPC, Router: router.Options{EmitProgram: true}}
+	var inj sim.Injector
+	if set != nil {
+		cfg.Faults = set
+		inj = set
+	}
+	res, err := core.Compile(assays.PCR(assays.DefaultTiming()), cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	tc.AttachSchedule(res.Schedule)
-	if _, err := sim.RunCollected(res.Chip, res.Routing.Program, res.Routing.Events, nil, tc); err != nil {
+	tc := telemetry.New()
+	if _, err := sim.RunInjected(res.Chip, res.Routing.Program, res.Routing.Events, nil, tc, inj); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	return tc.Snapshot()
+	return tc.Snapshot(), CommandedWear(res.Chip, res.Routing.Program)
+}
+
+// The commanded wear is what a full replay's collector records, with
+// and without faults injected into the replay: both count the frames
+// the program commands.
+func TestCommandedWearMatchesReplay(t *testing.T) {
+	chip, err := arch.NewFPPC(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := mustSet(t,
+		Fault{Kind: StuckOpen, Cell: chip.MixModules[0].Hold},
+		Fault{Kind: StuckClosed, Cell: chip.SSDModules[1].Hold},
+	)
+	for _, set := range []*Set{nil, known} {
+		snap, pw := compileWear(t, set)
+		if pw.Cycles != int64(snap.Cycles) {
+			t.Fatalf("faults %q: cycles = %d, replay recorded %d", set, pw.Cycles, snap.Cycles)
+		}
+		var want []ElectrodeWear
+		for _, e := range snap.Electrodes {
+			if e.Actuations > 0 {
+				want = append(want, ElectrodeWear{Cell: grid.Cell{X: e.X, Y: e.Y}, Actuations: e.Actuations})
+			}
+		}
+		if len(want) == 0 || !slices.Equal(pw.Electrodes, want) {
+			t.Fatalf("faults %q: commanded wear differs from the replay's:\n got %v\nwant %v", set, pw.Electrodes, want)
+		}
+	}
 }
 
 func TestWearAbsorbAccumulates(t *testing.T) {
-	snap := compileSnapshot(t)
+	snap, pw := compileWear(t, nil)
 	w := NewWearState()
-	w.Absorb(snap)
-	w.Absorb(snap)
+	w.Absorb(pw)
+	w.Absorb(pw)
 	if w.Cycles() != 2*int64(snap.Cycles) {
 		t.Fatalf("cycles = %d, want %d", w.Cycles(), 2*snap.Cycles)
 	}
@@ -55,14 +89,40 @@ func TestWearAbsorbAccumulates(t *testing.T) {
 	}
 }
 
-func TestWearFaultSetMatchesFromWear(t *testing.T) {
-	snap := compileSnapshot(t)
+// MaxConsumedAfter reads the same float64 that absorbing into a copy
+// and taking MaxConsumed does, whether the projection or the existing
+// wear holds the maximum.
+func TestWearMaxConsumedAfter(t *testing.T) {
+	_, pw := compileWear(t, nil)
 	chip, err := arch.NewFPPC(21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWearState()
-	w.Absorb(snap)
+	for _, cycles := range []int64{0, 37, 100_000} {
+		w.AdvanceSeeded(chip, cycles, cycles, 3)
+		for _, rated := range []int64{1, 997, 1_000_000} {
+			cl := w.Clone()
+			cl.Absorb(pw)
+			want := cl.MaxConsumed(rated)
+			if got := w.MaxConsumedAfter(pw, rated); got != want {
+				t.Errorf("after %d seeded cycles, rated %d: MaxConsumedAfter = %v, Clone+Absorb = %v", cycles, rated, got, want)
+			}
+		}
+	}
+	if got := w.MaxConsumedAfter(pw, 0); got != 0 {
+		t.Errorf("rated life 0: %v, want 0", got)
+	}
+}
+
+func TestWearFaultSetMatchesFromWear(t *testing.T) {
+	snap, pw := compileWear(t, nil)
+	chip, err := arch.NewFPPC(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWearState()
+	w.Absorb(pw)
 	// Rate the life so the hottest electrode is exactly worn out.
 	var maxActs int64
 	for _, e := range snap.Electrodes {
@@ -153,7 +213,7 @@ func TestWearCloneIsIndependent(t *testing.T) {
 
 func TestWearNilSafety(t *testing.T) {
 	var w *WearState
-	w.Absorb(nil)
+	w.Absorb(ProgramWear{Cycles: 5, Electrodes: []ElectrodeWear{{Actuations: 5}}})
 	w.AdvanceSeeded(nil, 1, 10, 1)
 	if w.Cycles() != 0 || w.MaxConsumed(100) != 0 || w.Consumed(grid.Cell{}, 100) != 0 {
 		t.Fatal("nil WearState not inert")

@@ -40,7 +40,6 @@ import (
 	"fppc/internal/core"
 	"fppc/internal/dag"
 	"fppc/internal/faults"
-	"fppc/internal/grid"
 	"fppc/internal/lru"
 	"fppc/internal/obs"
 )
@@ -93,6 +92,7 @@ type Fleet struct {
 
 	ob                                      *obs.Observer
 	cPlaced, cMigrated, cFailed, cCompleted *obs.Counter
+	cCompiles, cVerifyOK, cVerifyFail       *obs.Counter
 	nPlaced, nMigrated, nFailed, nCompleted int
 	gChips, gPending, gRunning              *obs.Gauge
 	// pending and running count the jobs in JobPending and JobPlaced;
@@ -130,12 +130,17 @@ func New(cfg Config) (*Fleet, error) {
 		cMigrated:      ob.Counter("fppc_fleet_jobs_total", "outcome", "migrated"),
 		cFailed:        ob.Counter("fppc_fleet_jobs_total", "outcome", "failed"),
 		cCompleted:     ob.Counter("fppc_fleet_jobs_total", "outcome", "completed"),
+		cCompiles:      ob.Counter("fppc_fleet_compiles_total"),
+		cVerifyOK:      ob.Counter("fppc_fleet_verifications_total", "result", "ok"),
+		cVerifyFail:    ob.Counter("fppc_fleet_verifications_total", "result", "failed"),
 		gChips:         ob.Gauge("fppc_fleet_chips"),
 		gPending:       ob.Gauge("fppc_fleet_jobs_pending"),
 		gRunning:       ob.Gauge("fppc_fleet_jobs_running"),
 	}
 	m := ob.Metrics()
 	m.Help("fppc_fleet_jobs_total", "fleet job transitions by outcome: placed, migrated, failed, completed")
+	m.Help("fppc_fleet_compiles_total", "placement compiles that ran the compiler (compile-cache misses)")
+	m.Help("fppc_fleet_verifications_total", "oracle verifications of compiled placement candidates, by result: ok, failed")
 	m.Help("fppc_fleet_chips", "physical chips registered with the control plane")
 	m.Help("fppc_fleet_jobs_pending", "jobs awaiting placement")
 	m.Help("fppc_fleet_jobs_running", "jobs currently placed on a chip")
@@ -191,7 +196,7 @@ type Job struct {
 	placedAt   int64
 	faultSpec  string      // the chip's effective fault spec the program compiled against
 	faultSet   *faults.Set // parsed form of faultSpec, for Blocked checks
-	used       map[grid.Cell]bool
+	used       []faults.ElectrodeWear
 	spans      []opSpan
 	verified   bool
 	migrations int
@@ -302,7 +307,7 @@ func (f *Fleet) Clock() int64 {
 // Tick advances virtual time and completes the jobs whose makespan has
 // elapsed. Completion frees the chip slot immediately; wear was already
 // accounted at placement (the program's full actuation cost is known
-// from its telemetry).
+// from its commanded frames).
 func (f *Fleet) Tick(steps int64) {
 	if steps <= 0 {
 		return

@@ -8,26 +8,32 @@ import (
 	"fppc/internal/core"
 	"fppc/internal/dag"
 	"fppc/internal/faults"
-	"fppc/internal/grid"
 	"fppc/internal/oracle"
-	"fppc/internal/telemetry"
 )
 
 // compiled is one fleet compile outcome: an assay synthesized for a
 // specific chip spec under a specific fault set, with everything the
-// control plane needs downstream — the telemetry snapshot (wear
-// contribution), the cells the program actuates (degradation-impact
-// checks), the operation schedule spans (locating work in flight), and
-// the oracle's verdict on the destination chip.
+// control plane needs to score and place it — the commanded wear (its
+// electrodes are the cells the program actuates, for degradation-impact
+// checks), the operation schedule spans (locating work in flight) and
+// the makespan — and, once verified, the oracle's verdict on the
+// destination chip.
+//
+// Compiling does not verify. res and opts keep what the oracle needs
+// until the first verify call; it records the verdict and releases
+// them. Every evaluate runs under reconMu, which guards the verdict
+// fields and res.
 type compiled struct {
-	err       error // terminal compile error (unsynthesizable etc.)
-	snap      *telemetry.Snapshot
-	used      map[grid.Cell]bool
-	spans     []opSpan
-	makespan  int
+	err      error // terminal compile error (unsynthesizable etc.)
+	wear     faults.ProgramWear
+	spans    []opSpan
+	makespan int
+	mode     string // oracle mode: "frames" (pin program) or "schedule"
+
+	res       *core.Result // nil once verified
+	opts      oracle.Options
 	verified  bool
 	verifyErr error
-	mode      string // oracle mode: "frames" (fppc program) or "schedule"
 }
 
 // compileCacheEntries bounds the fleet's compile cache. Every wear step
@@ -60,61 +66,60 @@ func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, cert string, s
 	return e
 }
 
-// runCompile executes the fault-aware compile and verifies the result
-// with the independent oracle under known-fault injection. The oracle's
-// simulator cross-check, the one replay of the pin program on the chip
-// with its faults, also collects the telemetry (when the target emits
-// a program).
+// runCompile executes the fault-aware compile and records what scoring
+// and placement read: the makespan, the module spans in
+// Schedule.ModuleOps order, and the wear the program commands on the
+// compiled chip. Only pin-program targets emit a program; placements on
+// timing-only baselines (DA) carry schedule spans but no wear
+// contribution or used cells.
 func (f *Fleet) runCompile(ctx context.Context, assay *dag.Assay, spec ChipSpec, set *faults.Set) *compiled {
 	e := &compiled{}
 	cfg := coreConfig(spec, set)
-	tc := telemetry.New()
-	cfg.Router.Telemetry = tc
 	if tspec, ok := core.LookupTargetName(spec.Target); ok && tspec.Capabilities.PinProgram {
-		// Only pin-program targets yield electrode-level telemetry;
-		// placements on timing-only baselines (DA) carry schedule spans
-		// but no wear contribution or used-cell map.
 		cfg.Router.EmitProgram = true
 	}
+	f.cCompiles.Inc()
 	res, err := core.CompileContext(ctx, assay, cfg)
 	if err != nil {
 		e.err = err
 		return e
 	}
-	opts := oracle.Options{}
-	if set.Len() > 0 {
-		opts.Faults = set
-		opts.KnownFaults = true
+	prog := res.Routing.Program
+	e.makespan = res.Schedule.Makespan
+	for _, op := range res.Schedule.ModuleOps() {
+		e.spans = append(e.spans, opSpan{node: op.NodeID, start: op.Start, end: op.End})
 	}
-	if _, err := oracle.VerifyCollected(res, opts, tc); err != nil {
-		e.verifyErr = err
-		return e
-	}
-	e.verified = true
+	e.wear = faults.CommandedWear(res.Chip, prog)
 	e.mode = "schedule"
-	if res.Routing.Program != nil {
+	if prog != nil {
 		e.mode = "frames"
 	}
-	tc.AttachSchedule(res.Schedule)
-	e.snap = tc.Snapshot()
-	e.makespan = res.Schedule.Makespan
-	for _, m := range e.snap.Modules {
-		e.spans = append(e.spans, opSpan{node: m.NodeID, start: m.Start, end: m.End})
-	}
-	for _, el := range e.snap.Electrodes {
-		if el.Actuations > 0 {
-			if e.used == nil {
-				e.used = make(map[grid.Cell]bool)
-			}
-			e.used[grid.Cell{X: el.X, Y: el.Y}] = true
-		}
+	e.res = res
+	if set.Len() > 0 {
+		e.opts = oracle.Options{Faults: set, KnownFaults: true}
 	}
 	return e
 }
 
-// feasible reports whether the compile produced a usable, verified
-// program for its chip.
-func (e *compiled) feasible() bool { return e.err == nil && e.verified }
+// verify reports whether the compiled program passes the independent
+// oracle on its chip, with the chip's known faults injected into the
+// oracle's replay and the simulator cross-check. The first call runs
+// the oracle and records the verdict; later calls return it. The
+// caller holds reconMu.
+func (f *Fleet) verify(e *compiled) bool {
+	if e.res == nil {
+		return e.verified
+	}
+	_, e.verifyErr = oracle.VerifyCompiled(e.res, e.opts)
+	e.verified = e.verifyErr == nil
+	e.res, e.opts = nil, oracle.Options{}
+	if e.verified {
+		f.cVerifyOK.Inc()
+	} else {
+		f.cVerifyFail.Inc()
+	}
+	return e.verified
+}
 
 // failure renders why the chip was rejected.
 func (e *compiled) failure() string {
@@ -135,7 +140,7 @@ type chipView struct {
 	spec      ChipSpec
 	effective *faults.Set
 	effSpec   string
-	wear      *faults.WearState // clone — safe to mutate for projections
+	wear      *faults.WearState // copy taken under the lock, read outside it
 	ratedLife int64
 	jobs      int
 }
@@ -212,11 +217,15 @@ type candidate struct {
 }
 
 // evaluate compiles the assay for every compatible chip (skipping
-// `exclude`) and returns the best feasible candidate, or nil with the
-// per-chip rejection reasons. A context abort surfaces as an error so
-// the reconciler can stop the pass instead of failing the job.
+// `exclude`), scores every candidate that compiled, and verifies them
+// in score order until one passes: the best verified candidate, as if
+// every one had been verified, at one oracle run when the best-scored
+// one passes. It returns nil with the per-chip rejection reasons when
+// none passes, and then every candidate was verified. A context abort
+// surfaces as an error so the reconciler can stop the pass instead of
+// failing the job.
 func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, cert, target string, views []chipView, exclude string) (*candidate, []string, error) {
-	var best *candidate
+	var cands []candidate
 	var reasons []string
 	for _, v := range views {
 		if v.id == exclude {
@@ -229,29 +238,30 @@ func (f *Fleet) evaluate(ctx context.Context, assay *dag.Assay, cert, target str
 			return nil, nil, err
 		}
 		comp := f.compileFor(ctx, assay, cert, v.spec, v.effective, v.effSpec)
-		if !comp.feasible() {
+		if comp.err != nil {
 			if core.IsCanceled(comp.err) {
 				return nil, nil, comp.err
 			}
 			reasons = append(reasons, fmt.Sprintf("%s: %s", v.id, comp.failure()))
 			continue
 		}
-		// Project the chip's wear as if this program had run: the clone
-		// absorbs the program's actuations, and the resulting worst
-		// life-fraction is the candidate's predicted wear.
-		proj := v.wear.Clone()
-		proj.Absorb(comp.snap)
-		sc := score{
+		// Predicted wear is the chip's worst life fraction once this
+		// program has run.
+		cands = append(cands, candidate{view: v, comp: comp, sc: score{
 			faults:   v.effective.Len(),
-			predWear: proj.MaxConsumed(v.ratedLife),
+			predWear: v.wear.MaxConsumedAfter(comp.wear, v.ratedLife),
 			jobs:     v.jobs,
 			makespan: comp.makespan,
 			chipID:   v.id,
+		}})
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].sc.better(cands[j].sc) })
+	for i := range cands {
+		if f.verify(cands[i].comp) {
+			return &cands[i], nil, nil
 		}
-		if best == nil || sc.better(best.sc) {
-			best = &candidate{view: v, comp: comp, sc: sc}
-		}
+		reasons = append(reasons, fmt.Sprintf("%s: %s", cands[i].view.id, cands[i].comp.failure()))
 	}
 	sort.Strings(reasons)
-	return best, reasons, nil
+	return nil, reasons, nil
 }

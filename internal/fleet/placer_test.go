@@ -53,7 +53,9 @@ func TestPlacerNeverPicksInfeasibleChip(t *testing.T) {
 			got, _ := f.Job(st.ID)
 
 			// Recompute feasibility per chip through the same compile path
-			// the placer used (cache-hit, so this is cheap and exact).
+			// the placer used (cache-hit, so this is cheap and exact). The
+			// placer verifies in score order only until one chip passes,
+			// so verify every entry here.
 			canon, err := assays.PCR(tm).Canonical()
 			if err != nil {
 				t.Fatal(err)
@@ -63,8 +65,8 @@ func TestPlacerNeverPicksInfeasibleChip(t *testing.T) {
 			for _, id := range f.order {
 				c := f.chips[id]
 				e := f.compileFor(context.Background(), canon, canon.StructuralHash(), c.spec, c.effective, c.effSpec)
-				feasible[id] = e.feasible()
-				anyFeasible = anyFeasible || e.feasible()
+				feasible[id] = e.err == nil && f.verify(e)
+				anyFeasible = anyFeasible || feasible[id]
 			}
 
 			switch got.State {

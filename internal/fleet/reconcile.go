@@ -97,9 +97,9 @@ func (f *Fleet) Reconcile(ctx context.Context) Stats {
 // breaks the job's compiled program: some electrode the program
 // actuates is now unusable but was usable when the program compiled.
 // Placements on targets without the pin-program capability (no
-// electrode-level telemetry, so no actuation map) are conservatively
-// invalidated by any fault-set change, as is a pin-program placement
-// whose telemetry replay yielded no map.
+// program, so no actuated electrodes) are conservatively invalidated
+// by any fault-set change, as is a pin-program placement whose program
+// actuates nothing.
 func (f *Fleet) placementInvalidLocked(j *Job, c *chip) bool {
 	if spec, ok := core.LookupTargetName(c.spec.Target); !ok || !spec.Capabilities.PinProgram {
 		return true
@@ -107,8 +107,8 @@ func (f *Fleet) placementInvalidLocked(j *Job, c *chip) bool {
 	if len(j.used) == 0 {
 		return true
 	}
-	for cell := range j.used {
-		if c.effective.Blocked(c.ref, cell) && (j.faultSet == nil || !j.faultSet.Blocked(c.ref, cell)) {
+	for _, e := range j.used {
+		if c.effective.Blocked(c.ref, e.Cell) && (j.faultSet == nil || !j.faultSet.Blocked(c.ref, e.Cell)) {
 			return true
 		}
 	}
@@ -266,8 +266,8 @@ func (f *Fleet) failLocked(j *Job, detail string) {
 // bindLocked attaches a compiled placement to the job and charges the
 // program's wear to the destination chip; the caller holds mu. Wear is
 // charged up front — the program's full actuation cost is known from
-// its telemetry — so the chip's effective fault set may grow here,
-// which the next pass observes like any other degradation.
+// its commanded frames — so the chip's effective fault set may grow
+// here, which the next pass observes like any other degradation.
 func (f *Fleet) bindLocked(j *Job, dest *chip, cand *candidate) {
 	f.setStateLocked(j, JobPlaced)
 	j.chipID = dest.spec.ID
@@ -275,13 +275,13 @@ func (f *Fleet) bindLocked(j *Job, dest *chip, cand *candidate) {
 	j.placedAt = f.clock
 	j.faultSpec = cand.view.effSpec
 	j.faultSet = cand.view.effective
-	j.used = cand.comp.used
+	j.used = cand.comp.wear.Electrodes
 	j.spans = cand.comp.spans
 	j.verified = cand.comp.verified
 	j.errMsg = ""
 	dest.jobs[j.id] = true
 	dest.gJobs.Set(float64(len(dest.jobs)))
-	dest.wear.Absorb(cand.comp.snap)
+	dest.wear.Absorb(cand.comp.wear)
 	if dest.refreshEffective() {
 		f.appendEventLocked(Event{Kind: EventDegraded, Chip: dest.spec.ID, Detail: dest.effSpec})
 	}

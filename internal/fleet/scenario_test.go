@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"fppc/internal/obs"
 )
 
 // The pinned-seed scenario is the PR's acceptance gate: 5 chips (one
@@ -12,12 +14,15 @@ import (
 // jobs, injected mid-run degradation — every job must end completed
 // (directly or after migration), none lost, and the event log must show
 // at least one migration that recompiled via recovery.Plan and was
-// oracle-verified on the destination chip.
+// oracle-verified on the destination chip. No oracle run fails, and
+// the oracle runs at most once per placement or migration while the
+// compiler runs once per chip and assay.
 func TestScenarioPinnedSeedNoLostJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario compiles the benchmark suite many times")
 	}
-	res, err := RunScenario(context.Background(), ScenarioConfig{Seed: 1})
+	ob := obs.NewMetricsOnly()
+	res, err := RunScenario(context.Background(), ScenarioConfig{Seed: 1, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +91,19 @@ func TestScenarioPinnedSeedNoLostJobs(t *testing.T) {
 	}
 	if !sawMigratedJob {
 		t.Error("no job carries a migration count despite migration events")
+	}
+
+	ok := ob.Counter("fppc_fleet_verifications_total", "result", "ok").Value()
+	failed := ob.Counter("fppc_fleet_verifications_total", "result", "failed").Value()
+	compiles := ob.Counter("fppc_fleet_compiles_total").Value()
+	if failed != 0 {
+		t.Errorf("failed verifications = %d, want 0", failed)
+	}
+	if ok == 0 || ok > int64(res.Placed+res.Migrated) {
+		t.Errorf("passed verifications = %d, want 1..%d (placements + migrations)", ok, res.Placed+res.Migrated)
+	}
+	if ok >= compiles {
+		t.Errorf("verified %d of %d compiles, want fewer", ok, compiles)
 	}
 
 	// The result serializes (the CLI writes it as the artifact).

@@ -2,10 +2,46 @@ package scheduler
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"fppc/internal/dag"
 )
+
+// ModuleOps returns the operations resident in a module slot (mix, SSD
+// or DA work module) for at least one time-step, ordered by track (the
+// slot's Location rendering, compared as strings) and then by start
+// step; ties keep node order. This is the row order of the telemetry
+// module timeline, and the fleet breaks start-step ties by it when it
+// locates the work in flight.
+func (s *Schedule) ModuleOps() []BoundOp {
+	type row struct {
+		track string
+		op    BoundOp
+	}
+	var rows []row
+	for _, op := range s.Ops {
+		switch op.Loc.Kind {
+		case LocMix, LocSSD, LocWork:
+		default:
+			continue
+		}
+		if op.End > op.Start {
+			rows = append(rows, row{op.Loc.String(), op})
+		}
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].track != rows[j].track {
+			return rows[i].track < rows[j].track
+		}
+		return rows[i].op.Start < rows[j].op.Start
+	})
+	out := make([]BoundOp, len(rows))
+	for i, r := range rows {
+		out[i] = r.op
+	}
+	return out
+}
 
 // Gantt renders the schedule as a text chart: one row per module/port
 // track, one column per time-step, with operation labels placed at their

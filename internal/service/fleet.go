@@ -21,7 +21,7 @@ type FleetJobRequest struct {
 
 // FleetDegradeRequest is the POST /debug/fleet/degrade body: inject
 // seeded synthetic wear into one chip (testing surface — production
-// degradation arrives through accumulated compile telemetry).
+// degradation arrives through the accumulated wear of placed programs).
 type FleetDegradeRequest struct {
 	Chip string `json:"chip"`
 	Seed int64  `json:"seed"`
@@ -160,7 +160,7 @@ func (s *Server) handleFleetDebug(w http.ResponseWriter, r *http.Request) {
 // handleFleetDegrade serves POST /debug/fleet/degrade: seeded wear
 // injection for exercising migration (the fleet scenario and the load
 // generator drive it; the reconciler reacts exactly as it would to
-// telemetry-accumulated wear).
+// the accumulated wear of placed programs).
 func (s *Server) handleFleetDegrade(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", fmt.Errorf("POST only"))

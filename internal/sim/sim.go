@@ -38,6 +38,11 @@ type Droplet struct {
 	// (in dispense units); Solute sums to Volume. Concentration of fluid
 	// f is Solute[f]/Volume.
 	Solute map[string]float64
+
+	// fluid is the dominant fluid (dominantFluid), the residue the
+	// droplet leaves. Solute changes only at dispense, split and
+	// coalesce, so those three set it.
+	fluid string
 }
 
 // Concentration returns the fraction of the droplet that originated from
@@ -218,7 +223,7 @@ func (s *state) apply(cyc int, ev router.Event) error {
 		}
 		s.drops = append(s.drops, &Droplet{
 			ID: s.nextID, Cells: []grid.Cell{ev.Cell}, Volume: 1,
-			Solute: map[string]float64{ev.Fluid: 1},
+			Solute: map[string]float64{ev.Fluid: 1}, fluid: ev.Fluid,
 		})
 		s.nextID++
 		s.trace.Dispenses++
@@ -273,13 +278,12 @@ func (s *state) step(cyc int) error {
 // droplet on energized electrodes, so every cell is on the array.
 func (s *state) trackResidue() {
 	for _, d := range s.drops {
-		fluid := dominantFluid(d)
 		for _, c := range d.Cells {
 			r := &s.residue[c.Y*s.chip.W+c.X]
-			if r.dirty && r.fluid != fluid {
+			if r.dirty && r.fluid != d.fluid {
 				s.trace.CrossContacts++
 			}
-			r.fluid, r.dirty = fluid, true
+			r.fluid, r.dirty = d.fluid, true
 		}
 	}
 }
@@ -388,7 +392,8 @@ func (s *state) advance(cyc int, d *Droplet) (*Droplet, *Droplet, error) {
 			}
 			d.Cells = []grid.Cell{keep}
 			d.Volume = half
-			other := &Droplet{ID: s.nextID, Cells: []grid.Cell{pull}, Volume: half, Solute: halfSolute}
+			// Halving every component keeps the dominant fluid.
+			other := &Droplet{ID: s.nextID, Cells: []grid.Cell{pull}, Volume: half, Solute: halfSolute, fluid: d.fluid}
 			s.nextID++
 			s.cMoves.Inc()
 			return d, other, nil
@@ -440,7 +445,9 @@ func coalesce(a, b *Droplet) *Droplet {
 	for f, v := range b.Solute {
 		solute[f] += v
 	}
-	return &Droplet{ID: a.ID, Cells: cells, Volume: a.Volume + b.Volume, Solute: solute}
+	d := &Droplet{ID: a.ID, Cells: cells, Volume: a.Volume + b.Volume, Solute: solute}
+	d.fluid = dominantFluid(d)
+	return d
 }
 
 // finish snapshots the trace.

@@ -219,22 +219,15 @@ func hottest(stats []ElectrodeStat, k int) []ElectrodeStat {
 	return out
 }
 
-// moduleTimeline flattens the schedule's bound operations into Gantt
-// spans, sorted by module track then start time.
+// moduleTimeline flattens the schedule's module-resident operations
+// into Gantt spans, in Schedule.ModuleOps order: by module track, then
+// start time.
 func moduleTimeline(s *scheduler.Schedule) []ModuleSpan {
 	if s == nil || s.Assay == nil {
 		return nil
 	}
 	var out []ModuleSpan
-	for _, op := range s.Ops {
-		switch op.Loc.Kind {
-		case scheduler.LocMix, scheduler.LocSSD, scheduler.LocWork:
-		default:
-			continue
-		}
-		if op.End <= op.Start {
-			continue
-		}
+	for _, op := range s.ModuleOps() {
 		out = append(out, ModuleSpan{
 			Module: op.Loc.String(),
 			Op:     s.Assay.Node(op.NodeID).Kind.String(),
@@ -243,11 +236,5 @@ func moduleTimeline(s *scheduler.Schedule) []ModuleSpan {
 			End:    op.End,
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Module != out[j].Module {
-			return out[i].Module < out[j].Module
-		}
-		return out[i].Start < out[j].Start
-	})
 	return out
 }
