@@ -52,9 +52,11 @@ cover-update:
 	sh scripts/coverage.sh -update
 
 # golden regenerates the golden corpora — the oracle's pristine traces,
-# the degraded-chip (fault-aware) compiles and the fleet scenario
-# timelines; CI fails if the result differs from what is checked in.
+# every Table 1 compile on every target, the degraded-chip (fault-aware)
+# compiles and the fleet scenario timelines; CI fails if the result
+# differs from what is checked in.
 golden:
 	$(GO) test ./internal/oracle -run TestGoldenTraces -update
+	$(GO) test ./internal/oracle -run TestByteIdentityAcrossCompilePaths -update
 	$(GO) test ./internal/faults -run TestGoldenDegraded -update
 	$(GO) test ./internal/fleet -run TestGoldenScenarios -update

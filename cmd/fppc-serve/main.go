@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", ":8093", "listen address")
 	workers := fs.Int("workers", 0, "max concurrent compilations (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 256, "compile cache capacity (entries)")
-	compileWorkers := fs.Int("compile-workers", 0, "worker goroutines inside each compile: scheduler precompute passes (0 = GOMAXPROCS) and DA path searches (parallel above 1); output is byte-identical at any setting")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request compile deadline")
 	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "hard cap on client-requested deadlines")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace period for in-flight requests")
@@ -131,7 +130,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	srv := service.New(service.Config{
 		Workers:         *workers,
 		CacheEntries:    *cache,
-		CompileWorkers:  *compileWorkers,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		ForceVerify:     *verify,

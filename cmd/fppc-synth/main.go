@@ -50,7 +50,6 @@ func run(args []string, out io.Writer) error {
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	metricsOut := fs.String("metrics", "", "write pipeline metrics in Prometheus text format")
 	timeout := fs.Duration("timeout", 0, "abort compilation after this long (0 = no limit)")
-	workers := fs.Int("workers", 0, "worker goroutines for scheduler precompute passes (0 = GOMAXPROCS) and DA path searches (parallel above 1); output is byte-identical at any setting")
 	verbose := fs.Bool("v", false, "print the per-stage span summary after compiling")
 	common := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "assay written to %s\n", *dump)
 		return nil
 	}
-	cfg := fppc.Config{FPPCHeight: *height, AutoGrow: *grow, Workers: *workers}
+	cfg := fppc.Config{FPPCHeight: *height, AutoGrow: *grow}
 	var ob *fppc.Observer
 	if *traceOut != "" || *metricsOut != "" || *verbose {
 		ob = fppc.NewObserver()

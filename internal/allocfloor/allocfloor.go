@@ -49,9 +49,11 @@ func Check(t testing.TB, name string, got float64) {
 }
 
 // PerRun is testing.AllocsPerRun that also counts bytes: after one
-// warm-up call it runs f runs times at GOMAXPROCS 1, so worker pools
-// run inline and the counts repeat, and returns the mean heap
-// allocations and heap bytes per run.
+// warm-up call it runs f runs times at GOMAXPROCS 1, as AllocsPerRun
+// does, and returns the mean heap allocations and heap bytes per run.
+// Compiles start no goroutines, so the counts repeat exactly; what
+// they compute is pinned separately, by
+// internal/oracle/testdata/table1_compiles.golden.
 func PerRun(runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()

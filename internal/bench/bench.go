@@ -87,19 +87,15 @@ type Table1Averages struct {
 // Split 5-7. Benchmarks the enhanced chip's fixed reservoir perimeter
 // cannot host carry a nil EFP column.
 func Table1(tm assays.Timing) ([]Table1Row, Table1Averages, error) {
-	return Table1Observed(tm, nil)
+	return Table1Context(nil, tm, nil)
 }
 
-// Table1Observed is Table1 with pipeline observation: each benchmark
-// compiles under a "benchmark" span (args: name, target) and every
-// compilation's stage spans and metrics accumulate on ob.
-func Table1Observed(tm assays.Timing, ob *obs.Observer) ([]Table1Row, Table1Averages, error) {
-	return Table1Context(nil, tm, ob)
-}
-
-// Table1Context is Table1Observed under a context: cancellation or
-// deadline expiry aborts the sweep between (and cooperatively inside)
-// compilations. A nil ctx never cancels.
+// Table1Context is Table1 under a context and with pipeline
+// observation: each benchmark compiles under a "benchmark" span (args:
+// name, target) and every compilation's stage spans and metrics
+// accumulate on ob (nil disables). Cancellation or deadline expiry
+// aborts the sweep between (and cooperatively inside) compilations. A
+// nil ctx never cancels.
 func Table1Context(ctx context.Context, tm assays.Timing, ob *obs.Observer) ([]Table1Row, Table1Averages, error) {
 	var rows []Table1Row
 	for _, a := range assays.Table1Benchmarks(tm) {
@@ -299,16 +295,11 @@ var table2Published = []Table2Row{
 // field-programmable design needs no multi-function variant — any
 // sufficiently large chip runs everything).
 func Table2(tm assays.Timing) ([]Table2Row, error) {
-	return Table2Observed(tm, nil)
+	return Table2Context(nil, tm, nil)
 }
 
-// Table2Observed is Table2 with pipeline observation on ob.
-func Table2Observed(tm assays.Timing, ob *obs.Observer) ([]Table2Row, error) {
-	return Table2Context(nil, tm, ob)
-}
-
-// Table2Context is Table2Observed under a context; a nil ctx never
-// cancels.
+// Table2Context is Table2 under a context, with pipeline observation on
+// ob (nil disables); a nil ctx never cancels.
 func Table2Context(ctx context.Context, tm assays.Timing, ob *obs.Observer) ([]Table2Row, error) {
 	rows := append([]Table2Row{}, table2Published...)
 	single := []*dag.Assay{assays.PCR(tm), assays.InVitroN(1, tm), assays.ProteinSplit(3, tm)}
@@ -391,16 +382,11 @@ var Table3Assays = []string{"PCR", "In-Vitro 1", "Protein Split 3"}
 // Table 3. dispense overrides the protein dispense latency when positive
 // (section 5.2's ablation uses 2).
 func Table3(tm assays.Timing, heights []int, dispense int) ([]Table3Row, error) {
-	return Table3Observed(tm, heights, dispense, nil)
+	return Table3Context(nil, tm, heights, dispense, nil)
 }
 
-// Table3Observed is Table3 with pipeline observation on ob.
-func Table3Observed(tm assays.Timing, heights []int, dispense int, ob *obs.Observer) ([]Table3Row, error) {
-	return Table3Context(nil, tm, heights, dispense, ob)
-}
-
-// Table3Context is Table3Observed under a context; a nil ctx never
-// cancels.
+// Table3Context is Table3 under a context, with pipeline observation on
+// ob (nil disables); a nil ctx never cancels.
 func Table3Context(ctx context.Context, tm assays.Timing, heights []int, dispense int, ob *obs.Observer) ([]Table3Row, error) {
 	if len(heights) == 0 {
 		heights = []int{9, 12, 15, 18, 21}

@@ -13,8 +13,8 @@ import (
 // Split 7 on every registered target must stay under the committed
 // allocs/op and bytes/op ceilings (rows compile_<target>_protein<n>
 // and compile_<target>_protein<n>_bytes). The counts cover port
-// placement, every schedule attempt and the route; at GOMAXPROCS 1 the
-// worker pools run inline, so they repeat exactly.
+// placement, every schedule attempt and the route; every compile runs
+// on the caller's goroutine, so they repeat exactly.
 func TestAllocsCeilingCompile(t *testing.T) {
 	for _, n := range []int{3, 7} {
 		a := assays.ProteinSplit(n, assays.DefaultTiming())

@@ -74,12 +74,8 @@ type Config struct {
 	// appropriate detectors" — becomes a real constraint with this set.
 	DetectorCount int
 
-	// Workers bounds the concurrency of parallelizable work inside one
-	// compilation: the scheduler's precomputation passes run on a pool
-	// of this many workers (GOMAXPROCS when 0, inline when 1), and the
-	// DA router's per-boundary path searches fan out only above 1.
-	// Every worker count produces byte-identical artifacts; the
-	// differential tests enforce that.
+	// Workers is ignored: every compile runs on its caller's goroutine.
+	// The field stays for callers that set it.
 	Workers int
 
 	// Memo is ignored (see Memo).
@@ -381,7 +377,7 @@ func compileOn(ctx context.Context, a *dag.Assay, chip *arch.Chip, cfg Config, s
 	var s *scheduler.Schedule
 	if err := stage(ob, "schedule", chip, func() error {
 		var err error
-		s, err = spec.Schedule(ctx, a, chip, scheduler.Opts{Obs: ob, Workers: cfg.Workers})
+		s, err = spec.Schedule(ctx, a, chip, scheduler.Opts{Obs: ob})
 		return err
 	}); err != nil {
 		return nil, err
@@ -391,7 +387,6 @@ func compileOn(ctx context.Context, a *dag.Assay, chip *arch.Chip, cfg Config, s
 	}
 	opts := cfg.Router
 	opts.Obs = ob
-	opts.Workers = cfg.Workers
 	if cfg.faulted() {
 		opts.Avoid = func(c grid.Cell) bool { return cfg.Faults.Blocked(chip, c) }
 	}

@@ -16,12 +16,11 @@ import (
 	"fppc/internal/router"
 )
 
-// TestConcurrentCompilesSharedPool is the -race hammer: many goroutines
-// compile a small rotation of assays across all three targets, each
-// with an internal worker pool, and every result must match the
-// sequential reference. Under `go test -race` this covers the pool's
-// claim/stop protocol and any state the compile paths share.
-func TestConcurrentCompilesSharedPool(t *testing.T) {
+// TestConcurrentCompiles is the -race hammer: many goroutines compile a
+// small rotation of assays across all three targets, and every result
+// must match the sequential reference. Under `go test -race` this
+// covers any state the compile paths share.
+func TestConcurrentCompiles(t *testing.T) {
 	type job struct {
 		assay  *dag.Assay
 		target Target
@@ -35,7 +34,7 @@ func TestConcurrentCompilesSharedPool(t *testing.T) {
 		{assays.PCR(tm), TargetEnhancedFPPC, true},
 	}
 	cfgFor := func(j job) Config {
-		cfg := Config{Target: j.target, AutoGrow: true, Workers: 4}
+		cfg := Config{Target: j.target, AutoGrow: true}
 		if j.emit {
 			cfg.Router = router.Options{EmitProgram: true, RotationsPerStep: 1}
 		}
@@ -91,17 +90,15 @@ func (c cancelOnRestrict) Blocked(*arch.Chip, grid.Cell) bool { return false }
 
 // TestCancelMidCompileNoGoroutineLeak proves the cancellation contract
 // end to end: a compile aborted in flight surfaces the typed
-// *ErrCanceled, and no pool worker or pipeline goroutine outlives the
-// call (the pool's Do always joins its workers before returning).
+// *ErrCanceled, and no pipeline goroutine outlives the call.
 func TestCancelMidCompileNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		a := assays.PCR(assays.DefaultTiming())
 		res, err := CompileContext(ctx, a, Config{
-			Target:  TargetFPPC,
-			Workers: 4,
-			Faults:  cancelOnRestrict{cancel: cancel},
+			Target: TargetFPPC,
+			Faults: cancelOnRestrict{cancel: cancel},
 		})
 		cancel()
 		if res != nil {

@@ -22,15 +22,10 @@ type Dims struct{ W, H int }
 // constants, so a new target plugs in without touching its consumers.
 type Capabilities struct {
 	// PinProgram: the router can emit a per-cycle pin activation program,
-	// enabling electrode-level simulation, oracle replay and telemetry.
+	// enabling electrode-level simulation, oracle replay, telemetry,
+	// fleet wear-aware placement and dynamic fault classification
+	// (replaying the program against a degraded chip).
 	PinProgram bool
-	// TelemetryWear: executions produce per-electrode actuation counts
-	// the fleet uses for wear-aware placement.
-	TelemetryWear bool
-	// DynamicFaultDetection: fault campaigns can classify defects by
-	// replaying the pin program against a degraded chip (as opposed to
-	// static schedule-level screening only).
-	DynamicFaultDetection bool
 	// AutoGrow: the array can be enlarged when an assay does not fit.
 	AutoGrow bool
 	// FixedPortCapacity: the reservoir perimeter does not grow with the
@@ -40,9 +35,7 @@ type Capabilities struct {
 }
 
 // ScheduleFunc is a target's scheduling stage. Opts carries the
-// observer plus the worker budget for parallelizable precomputation;
-// implementations must produce byte-identical schedules for every
-// worker count.
+// observer; implementations run on the caller's goroutine.
 type ScheduleFunc func(ctx context.Context, a *dag.Assay, chip *arch.Chip, opts scheduler.Opts) (*scheduler.Schedule, error)
 
 // RouteFunc is a target's routing stage.

@@ -109,9 +109,9 @@ func TestBuiltinTargets(t *testing.T) {
 		name string
 		caps Capabilities
 	}{
-		{TargetFPPC, "fppc", Capabilities{PinProgram: true, TelemetryWear: true, DynamicFaultDetection: true, AutoGrow: true}},
+		{TargetFPPC, "fppc", Capabilities{PinProgram: true, AutoGrow: true}},
 		{TargetDA, "da", Capabilities{AutoGrow: true}},
-		{TargetEnhancedFPPC, "enhanced-fppc", Capabilities{PinProgram: true, TelemetryWear: true, DynamicFaultDetection: true, AutoGrow: true, FixedPortCapacity: true}},
+		{TargetEnhancedFPPC, "enhanced-fppc", Capabilities{PinProgram: true, AutoGrow: true, FixedPortCapacity: true}},
 	}
 	specs := Targets()
 	if len(specs) != len(want) {

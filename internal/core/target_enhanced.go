@@ -12,10 +12,8 @@ func init() {
 		Name:        "enhanced-fppc",
 		Description: "enhanced FPPC (individually addressable pins with interchange resource, TCAD 2014)",
 		Capabilities: Capabilities{
-			PinProgram:            true,
-			TelemetryWear:         true,
-			DynamicFaultDetection: true,
-			AutoGrow:              true,
+			PinProgram: true,
+			AutoGrow:   true,
 			// The enhanced chip's reservoirs attach only along the top and
 			// bottom bus rows, so growing taller never adds ports.
 			FixedPortCapacity: true,

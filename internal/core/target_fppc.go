@@ -12,10 +12,8 @@ func init() {
 		Name:        "fppc",
 		Description: "field-programmable pin-constrained chip (shared-pin buses and mix loops, Figure 5)",
 		Capabilities: Capabilities{
-			PinProgram:            true,
-			TelemetryWear:         true,
-			DynamicFaultDetection: true,
-			AutoGrow:              true,
+			PinProgram: true,
+			AutoGrow:   true,
 		},
 		DefaultDims: func(cfg Config) Dims {
 			h := cfg.FPPCHeight

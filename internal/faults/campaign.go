@@ -156,12 +156,12 @@ func Classify(a *dag.Assay, target core.Target, set *Set) (RunReport, error) {
 
 // classify dispatches on the target's capability flags given an
 // already-compiled pristine result (Campaign reuses one pristine compile
-// across many fault sets): targets with dynamic fault detection replay
-// the pin program against the degraded hardware; the rest are screened
-// statically at schedule level.
+// across many fault sets): targets with a pin program replay it against
+// the degraded hardware; the rest are screened statically at schedule
+// level.
 func classify(a *dag.Assay, target core.Target, set *Set, pristine *core.Result) (RunReport, error) {
 	rep := RunReport{Assay: a.Name, Target: target, Faults: set.String()}
-	if spec, ok := core.LookupTarget(target); ok && spec.Capabilities.DynamicFaultDetection {
+	if spec, ok := core.LookupTarget(target); ok && spec.Capabilities.PinProgram {
 		return classifyDynamic(a, set, pristine, rep)
 	}
 	return classifyStatic(a, set, pristine, rep)

@@ -1,12 +1,10 @@
-// Package graphs implements the three graph algorithms the routing flow
-// of the paper relies on (supplemental section S3): connected components
-// via depth-first search [Hopcroft & Tarjan 1973], strongly connected
-// components via Gabow's path-based depth-first search [Gabow 2000], and
-// topological sorting via Kahn's algorithm [Kahn 1962].
-//
-// Graphs are small (one vertex per droplet being routed in a sub-problem),
-// so the representation favours clarity: a directed graph over dense
-// integer vertex ids.
+// Package graphs holds the dependency graph the direct-addressing
+// router orders a routing sub-problem with: a directed graph over dense
+// integer vertex ids (one vertex per droplet move) and topological
+// sorting via Kahn's algorithm [Kahn 1962], whose *ErrCyclic names the
+// moves it could not order. The FPPC router breaks Figure 10's cyclic
+// dependencies without a graph: it sweeps the pending moves greedily
+// and parks one blocked droplet in temporary storage.
 package graphs
 
 import "fmt"
@@ -28,44 +26,11 @@ func NewDigraph(n int) *Digraph {
 func (g *Digraph) N() int { return len(g.adj) }
 
 // AddEdge inserts the directed edge u -> v. Duplicate edges are kept;
-// the algorithms below tolerate them.
+// TopologicalOrder tolerates them.
 func (g *Digraph) AddEdge(u, v int) {
 	g.check(u)
 	g.check(v)
 	g.adj[u] = append(g.adj[u], v)
-}
-
-// HasEdge reports whether the edge u -> v exists.
-func (g *Digraph) HasEdge(u, v int) bool {
-	g.check(u)
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// RemoveEdgesTo deletes every edge whose head is v. The router uses this
-// when a droplet is relocated to a buffer module: edges (*, v) disappear
-// because v's old location is now free.
-func (g *Digraph) RemoveEdgesTo(v int) {
-	g.check(v)
-	for u := range g.adj {
-		kept := g.adj[u][:0]
-		for _, w := range g.adj[u] {
-			if w != v {
-				kept = append(kept, w)
-			}
-		}
-		g.adj[u] = kept
-	}
-}
-
-// RemoveEdgesFrom deletes every edge whose tail is v.
-func (g *Digraph) RemoveEdgesFrom(v int) {
-	g.check(v)
-	g.adj[v] = g.adj[v][:0]
 }
 
 // Succ returns the successor list of u. The slice is shared; callers must
@@ -75,165 +40,10 @@ func (g *Digraph) Succ(u int) []int {
 	return g.adj[u]
 }
 
-// Edges returns every edge as (tail, head) pairs in adjacency order.
-func (g *Digraph) Edges() [][2]int {
-	var out [][2]int
-	for u, vs := range g.adj {
-		for _, v := range vs {
-			out = append(out, [2]int{u, v})
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := NewDigraph(g.N())
-	for u, vs := range g.adj {
-		c.adj[u] = append([]int(nil), vs...)
-	}
-	return c
-}
-
 func (g *Digraph) check(v int) {
 	if v < 0 || v >= len(g.adj) {
 		panic(fmt.Sprintf("graphs: vertex %d out of range [0,%d)", v, len(g.adj)))
 	}
-}
-
-// ConnectedComponents treats the digraph as undirected and returns the
-// vertex sets of its connected components. Components are ordered by
-// their smallest vertex; vertices within a component are sorted
-// ascending. This is the multi-directional DFS of supplemental S3 line 12.
-func ConnectedComponents(g *Digraph) [][]int {
-	n := g.N()
-	// Build the symmetric closure once so the DFS can walk both ways.
-	undirected := make([][]int, n)
-	for u, vs := range g.adj {
-		for _, v := range vs {
-			undirected[u] = append(undirected[u], v)
-			undirected[v] = append(undirected[v], u)
-		}
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]int
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		id := len(comps)
-		stack := []int{start}
-		comp[start] = id
-		var members []int
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, u)
-			for _, v := range undirected[u] {
-				if comp[v] < 0 {
-					comp[v] = id
-					stack = append(stack, v)
-				}
-			}
-		}
-		sortInts(members)
-		comps = append(comps, members)
-	}
-	return comps
-}
-
-// StronglyConnectedComponents computes the SCCs of g using Gabow's
-// path-based depth-first search. Every vertex appears in exactly one
-// component; single-vertex components are included (the router filters
-// those out, since a lone vertex has no cyclic dependency unless it has a
-// self-loop). Components are returned in reverse topological order of the
-// condensation (callees before callers), which is a property of the
-// algorithm the router exploits.
-func StronglyConnectedComponents(g *Digraph) [][]int {
-	n := g.N()
-	const unvisited = -1
-	preorder := make([]int, n)
-	for i := range preorder {
-		preorder[i] = unvisited
-	}
-	assigned := make([]bool, n)
-	var (
-		s, p    []int // Gabow's two stacks
-		counter int
-		comps   [][]int
-	)
-
-	// Iterative DFS: each frame tracks the vertex and the index of the
-	// next successor to explore, to avoid recursion on deep graphs.
-	type frame struct {
-		v, next int
-	}
-	for root := 0; root < n; root++ {
-		if preorder[root] != unvisited {
-			continue
-		}
-		stack := []frame{{root, 0}}
-		preorder[root] = counter
-		counter++
-		s = append(s, root)
-		p = append(p, root)
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.next]
-				f.next++
-				if preorder[w] == unvisited {
-					preorder[w] = counter
-					counter++
-					s = append(s, w)
-					p = append(p, w)
-					stack = append(stack, frame{w, 0})
-				} else if !assigned[w] {
-					// Contract the cycle: pop P down to w's preorder.
-					for preorder[p[len(p)-1]] > preorder[w] {
-						p = p[:len(p)-1]
-					}
-				}
-				continue
-			}
-			// Finished v. If v is the top of P, pop one component off S.
-			v := f.v
-			stack = stack[:len(stack)-1]
-			if len(p) > 0 && p[len(p)-1] == v {
-				p = p[:len(p)-1]
-				var comp []int
-				for {
-					w := s[len(s)-1]
-					s = s[:len(s)-1]
-					assigned[w] = true
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sortInts(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-	return comps
-}
-
-// CyclicSCCs returns only the strongly connected components that contain
-// a cycle: components with more than one vertex, or single vertices with
-// a self-loop. These are exactly the droplet dependency cycles that the
-// router must break.
-func CyclicSCCs(g *Digraph) [][]int {
-	var out [][]int
-	for _, c := range StronglyConnectedComponents(g) {
-		if len(c) > 1 || g.HasEdge(c[0], c[0]) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // ErrCyclic is returned by TopologicalOrder when the graph has a cycle.
@@ -293,22 +103,6 @@ func TopologicalOrder(g *Digraph) ([]int, error) {
 	return order, nil
 }
 
-// ReverseTopologicalOrder returns the vertices so that every edge goes
-// from a later to an earlier vertex. The router processes droplets in this
-// order: edge (Dx, Dy) means Dx moves to Dy's location, so Dy must be
-// routed first (S3: "a legal routing solution ... in reverse topological
-// order").
-func ReverseTopologicalOrder(g *Digraph) ([]int, error) {
-	order, err := TopologicalOrder(g)
-	if err != nil {
-		return nil, err
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order, nil
-}
-
 // intHeap is a tiny binary min-heap over ints (avoids container/heap
 // interface boilerplate for this hot, simple use).
 type intHeap struct{ a []int }
@@ -350,13 +144,4 @@ func (h *intHeap) pop() int {
 		i = small
 	}
 	return top
-}
-
-// sortInts is a small insertion sort; component slices are tiny.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package graphs
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,11 +14,11 @@ func TestDigraphBasics(t *testing.T) {
 	}
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || g.HasEdge(2, 0) || g.HasEdge(1, 0) {
-		t.Errorf("HasEdge wrong after inserts")
-	}
-	if got := g.Edges(); len(got) != 2 {
-		t.Errorf("Edges() = %v, want 2 edges", got)
+	g.AddEdge(0, 2)
+	for u, want := range [][]int{{1, 2}, {2}, nil} {
+		if got := g.Succ(u); !reflect.DeepEqual(got, want) {
+			t.Errorf("Succ(%d) = %v, want %v", u, got, want)
+		}
 	}
 }
 
@@ -41,145 +40,30 @@ func TestNewDigraphNegativePanics(t *testing.T) {
 	NewDigraph(-1)
 }
 
-func TestRemoveEdgesTo(t *testing.T) {
-	g := NewDigraph(4)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
-	g.RemoveEdgesTo(2)
-	if g.HasEdge(0, 2) || g.HasEdge(1, 2) || g.HasEdge(3, 2) {
-		t.Errorf("edges into 2 survived RemoveEdgesTo")
+// respectsEdges reports whether order lists every vertex of g once and
+// puts each edge's tail before its head.
+func respectsEdges(g *Digraph, order []int) bool {
+	if len(order) != g.N() {
+		return false
 	}
-	if !g.HasEdge(2, 3) {
-		t.Errorf("edge out of 2 removed by RemoveEdgesTo")
+	pos := make([]int, g.N())
+	for i := range pos {
+		pos[i] = -1
 	}
-}
-
-func TestRemoveEdgesFrom(t *testing.T) {
-	g := NewDigraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 0)
-	g.RemoveEdgesFrom(0)
-	if g.HasEdge(0, 1) || g.HasEdge(0, 2) {
-		t.Errorf("out-edges of 0 survived")
+	for i, v := range order {
+		if pos[v] >= 0 {
+			return false
+		}
+		pos[v] = i
 	}
-	if !g.HasEdge(1, 0) {
-		t.Errorf("in-edge of 0 removed")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := NewDigraph(2)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 0)
-	if g.HasEdge(1, 0) {
-		t.Errorf("mutating clone changed original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Errorf("clone missing original edge")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := NewDigraph(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 1) // direction must not matter
-	g.AddEdge(3, 4)
-	// 5, 6 isolated
-	got := ConnectedComponents(g)
-	want := [][]int{{0, 1, 2}, {3, 4}, {5}, {6}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ConnectedComponents = %v, want %v", got, want)
-	}
-}
-
-func TestConnectedComponentsEmpty(t *testing.T) {
-	if got := ConnectedComponents(NewDigraph(0)); len(got) != 0 {
-		t.Errorf("empty graph components = %v", got)
-	}
-}
-
-func TestSCCSimpleCycle(t *testing.T) {
-	g := NewDigraph(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0) // cycle {0,1,2}
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	comps := StronglyConnectedComponents(g)
-	if len(comps) != 3 {
-		t.Fatalf("got %d SCCs (%v), want 3", len(comps), comps)
-	}
-	var sizes []int
-	for _, c := range comps {
-		sizes = append(sizes, len(c))
-	}
-	// All vertices accounted for.
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != 5 {
-		t.Errorf("SCCs cover %d vertices, want 5", total)
-	}
-	// The triangle must be one component.
-	found := false
-	for _, c := range comps {
-		if reflect.DeepEqual(c, []int{0, 1, 2}) {
-			found = true
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Succ(u) {
+			if pos[u] >= pos[v] {
+				return false
+			}
 		}
 	}
-	if !found {
-		t.Errorf("cycle {0,1,2} not found in %v", comps)
-	}
-}
-
-func TestSCCReverseTopologicalOfCondensation(t *testing.T) {
-	// 0 -> 1 -> 2 with no cycles: Gabow emits callees first.
-	g := NewDigraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	comps := StronglyConnectedComponents(g)
-	want := [][]int{{2}, {1}, {0}}
-	if !reflect.DeepEqual(comps, want) {
-		t.Errorf("SCC order = %v, want %v (reverse topological)", comps, want)
-	}
-}
-
-func TestSCCTwoCycles(t *testing.T) {
-	// Figure-10-like: two intersecting cycles collapse into one SCC.
-	g := NewDigraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(3, 0) // acyclic attachment
-	cyc := CyclicSCCs(g)
-	if len(cyc) != 1 || !reflect.DeepEqual(cyc[0], []int{0, 1, 2}) {
-		t.Errorf("CyclicSCCs = %v, want [[0 1 2]]", cyc)
-	}
-}
-
-func TestCyclicSCCsSelfLoop(t *testing.T) {
-	g := NewDigraph(2)
-	g.AddEdge(0, 0)
-	cyc := CyclicSCCs(g)
-	if len(cyc) != 1 || !reflect.DeepEqual(cyc[0], []int{0}) {
-		t.Errorf("self-loop CyclicSCCs = %v, want [[0]]", cyc)
-	}
-}
-
-func TestCyclicSCCsAcyclic(t *testing.T) {
-	g := NewDigraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 3)
-	if cyc := CyclicSCCs(g); len(cyc) != 0 {
-		t.Errorf("acyclic graph reported cycles: %v", cyc)
-	}
+	return true
 }
 
 func TestTopologicalOrder(t *testing.T) {
@@ -194,14 +78,8 @@ func TestTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e[0]] >= pos[e[1]] {
-			t.Errorf("edge %v violates topological order %v", e, order)
-		}
+	if !respectsEdges(g, order) {
+		t.Errorf("order %v violates an edge", order)
 	}
 }
 
@@ -235,23 +113,6 @@ func TestTopologicalOrderCycleError(t *testing.T) {
 	}
 }
 
-func TestReverseTopologicalOrder(t *testing.T) {
-	g := NewDigraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	order, err := ReverseTopologicalOrder(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []int{2, 1, 0}) {
-		t.Errorf("reverse order = %v, want [2 1 0]", order)
-	}
-	g.AddEdge(2, 0)
-	if _, err := ReverseTopologicalOrder(g); err == nil {
-		t.Errorf("cyclic graph did not error")
-	}
-}
-
 // randomDigraph builds a digraph with n vertices and roughly density*n*n
 // edges from the given seed.
 func randomDigraph(seed int64, n int, density float64) *Digraph {
@@ -265,75 +126,6 @@ func randomDigraph(seed int64, n int, density float64) *Digraph {
 		}
 	}
 	return g
-}
-
-func TestQuickSCCPartition(t *testing.T) {
-	prop := func(seed int64, nn uint8) bool {
-		n := int(nn%40) + 1
-		g := randomDigraph(seed, n, 0.15)
-		comps := StronglyConnectedComponents(g)
-		seen := make([]int, n)
-		for _, c := range comps {
-			for _, v := range c {
-				seen[v]++
-			}
-		}
-		for _, cnt := range seen {
-			if cnt != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSCCMutualReachability(t *testing.T) {
-	reach := func(g *Digraph, from int) []bool {
-		vis := make([]bool, g.N())
-		stack := []int{from}
-		vis[from] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Succ(u) {
-				if !vis[v] {
-					vis[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		return vis
-	}
-	prop := func(seed int64, nn uint8) bool {
-		n := int(nn%25) + 2
-		g := randomDigraph(seed, n, 0.2)
-		comps := StronglyConnectedComponents(g)
-		// Any two vertices in the same SCC must reach each other; a vertex
-		// in a different SCC must not be mutually reachable.
-		inComp := make([]int, n)
-		for ci, c := range comps {
-			for _, v := range c {
-				inComp[v] = ci
-			}
-		}
-		for u := 0; u < n; u++ {
-			ru := reach(g, u)
-			for v := 0; v < n; v++ {
-				rv := reach(g, v)
-				mutual := ru[v] && rv[u]
-				if mutual != (inComp[u] == inComp[v]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestQuickTopoOrderValidOnDAGs(t *testing.T) {
@@ -350,48 +142,32 @@ func TestQuickTopoOrderValidOnDAGs(t *testing.T) {
 			}
 		}
 		order, err := TopologicalOrder(g)
-		if err != nil || len(order) != n {
-			return false
-		}
-		pos := make([]int, n)
-		for i, v := range order {
-			pos[v] = i
-		}
-		for _, e := range g.Edges() {
-			if pos[e[0]] >= pos[e[1]] {
-				return false
-			}
-		}
-		return true
+		return err == nil && respectsEdges(g, order)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestQuickCyclicGraphsDetected forces a 0 <-> 1 cycle into random
+// graphs: both vertices must land in ErrCyclic.Remaining, the list the
+// DA router serializes.
 func TestQuickCyclicGraphsDetected(t *testing.T) {
 	prop := func(seed int64, nn uint8) bool {
 		n := int(nn%20) + 3
 		g := randomDigraph(seed, n, 0.1)
-		// Force one cycle.
 		g.AddEdge(0, 1)
 		g.AddEdge(1, 0)
 		_, err := TopologicalOrder(g)
-		if err == nil {
+		ce, ok := err.(*ErrCyclic)
+		if !ok || len(ce.Remaining) < 2 {
 			return false
 		}
-		return len(CyclicSCCs(g)) >= 1
+		// Remaining is ascending, so 0 and 1 lead it when present.
+		return ce.Remaining[0] == 0 && ce.Remaining[1] == 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkSCCDense(b *testing.B) {
-	g := randomDigraph(42, 200, 0.05)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		StronglyConnectedComponents(g)
 	}
 }
 
@@ -410,84 +186,5 @@ func BenchmarkTopoOrder(b *testing.B) {
 		if _, err := TopologicalOrder(g); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// kosarajuSCC is an independent reference implementation (forward DFS
-// order + transposed-graph DFS) used to cross-check Gabow's algorithm.
-func kosarajuSCC(g *Digraph) [][]int {
-	n := g.N()
-	visited := make([]bool, n)
-	var order []int
-	var dfs1 func(int)
-	dfs1 = func(u int) {
-		visited[u] = true
-		for _, v := range g.Succ(u) {
-			if !visited[v] {
-				dfs1(v)
-			}
-		}
-		order = append(order, u)
-	}
-	for u := 0; u < n; u++ {
-		if !visited[u] {
-			dfs1(u)
-		}
-	}
-	// Transpose.
-	tr := NewDigraph(n)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Succ(u) {
-			tr.AddEdge(v, u)
-		}
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]int
-	var dfs2 func(int, int)
-	dfs2 = func(u, c int) {
-		comp[u] = c
-		comps[c] = append(comps[c], u)
-		for _, v := range tr.Succ(u) {
-			if comp[v] < 0 {
-				dfs2(v, c)
-			}
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if comp[order[i]] < 0 {
-			comps = append(comps, nil)
-			dfs2(order[i], len(comps)-1)
-		}
-	}
-	for _, c := range comps {
-		sortInts(c)
-	}
-	return comps
-}
-
-// TestQuickGabowMatchesKosaraju cross-checks the two SCC algorithms on
-// random digraphs: identical partitions (as sets of sorted components).
-func TestQuickGabowMatchesKosaraju(t *testing.T) {
-	canon := func(comps [][]int) map[string]bool {
-		out := map[string]bool{}
-		for _, c := range comps {
-			key := ""
-			for _, v := range c {
-				key += fmt.Sprintf("%d,", v)
-			}
-			out[key] = true
-		}
-		return out
-	}
-	prop := func(seed int64, nn uint8) bool {
-		n := int(nn%30) + 1
-		g := randomDigraph(seed, n, 0.12)
-		return reflect.DeepEqual(canon(StronglyConnectedComponents(g)), canon(kosarajuSCC(g)))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -33,17 +33,13 @@ var paperTable1 = map[string][4]float64{ // DA routing, FP routing, DA ops, FP o
 // Markdown runs all three tables and renders a Markdown document with
 // measured values beside the paper's.
 func Markdown(tm assays.Timing) (string, error) {
-	return MarkdownObserved(tm, nil)
+	return MarkdownContext(nil, tm, nil)
 }
 
-// MarkdownObserved is Markdown with Table 1 compilations recorded on ob.
-func MarkdownObserved(tm assays.Timing, ob *obs.Observer) (string, error) {
-	return MarkdownContext(nil, tm, ob)
-}
-
-// MarkdownContext is MarkdownObserved under a context: cancellation or
-// deadline expiry aborts between (and cooperatively inside)
-// compilations. A nil ctx never cancels.
+// MarkdownContext is Markdown under a context, with Table 1
+// compilations recorded on ob (nil disables): cancellation or deadline
+// expiry aborts between (and cooperatively inside) compilations. A nil
+// ctx never cancels.
 func MarkdownContext(ctx context.Context, tm assays.Timing, ob *obs.Observer) (string, error) {
 	var b strings.Builder
 	b.WriteString("# Regenerated evaluation (measured vs. paper)\n\n")

@@ -9,7 +9,6 @@ import (
 	"fppc/internal/graphs"
 	"fppc/internal/grid"
 	"fppc/internal/obs"
-	"fppc/internal/pool"
 	"fppc/internal/scheduler"
 	"fppc/internal/telemetry"
 )
@@ -28,7 +27,7 @@ type daRouter struct {
 	// droplet is stored there).
 	busy [][][2]int
 
-	pf *pathFinder // reusable BFS workspace for the sequential path
+	pf *pathFinder // reusable BFS workspace
 
 	cStalls    *obs.Counter         // cycles droplets wait on clearance/conflicts
 	tc         *telemetry.Collector // chip telemetry pass-through (nil disables)
@@ -168,11 +167,12 @@ func moduleIdx(l scheduler.Location) int {
 	return -1
 }
 
-// pathFor computes a shortest street path for the move using the given
-// BFS workspace. Idle, empty modules are routable (direct addressing can
+// pathFor computes a shortest street path for the move using the
+// router's BFS workspace. Idle, empty modules are routable (direct addressing can
 // drive any electrode); only the halos of modules that are busy during
 // this boundary block the path, source and destination excepted.
-func (r *daRouter) pathFor(pf *pathFinder, ts int, m scheduler.Move) ([]grid.Cell, error) {
+func (r *daRouter) pathFor(ts int, m scheduler.Move) ([]grid.Cell, error) {
+	pf := r.pf
 	src, err := r.cellOf(m.From)
 	if err != nil {
 		return nil, err
@@ -353,49 +353,14 @@ func (r *daRouter) routeBoundary(ts int) (int, error) {
 }
 
 // computePaths finds the street path of every move in the sub-problem.
-// Each path is a pure function of the schedule and the boundary (the
-// busy table is read-only here), so with Workers > 1 the moves are
-// chunked across goroutines, each with a private BFS workspace; results
-// land in fixed slots and errors surface lowest-index-first, making the
-// output byte-identical to the sequential pass.
 func (r *daRouter) computePaths(ts int, moves []scheduler.Move) ([][]grid.Cell, error) {
 	paths := make([][]grid.Cell, len(moves))
-	workers := r.opts.Workers
-	if workers > len(moves) {
-		workers = len(moves)
-	}
-	if workers <= 1 || len(moves) < 4 {
-		for i, m := range moves {
-			p, err := r.pathFor(r.pf, ts, m)
-			if err != nil {
-				return nil, err
-			}
-			paths[i] = p
+	for i, m := range moves {
+		p, err := r.pathFor(ts, m)
+		if err != nil {
+			return nil, err
 		}
-		return paths, nil
-	}
-	chunk := (len(moves) + workers - 1) / workers
-	err := pool.New(workers).Do(nil, workers, func(c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(moves) {
-			hi = len(moves)
-		}
-		if lo >= hi {
-			return nil
-		}
-		pf := newPathFinder(r.chip.W, r.chip.H)
-		for i := lo; i < hi; i++ {
-			p, perr := r.pathFor(pf, ts, moves[i])
-			if perr != nil {
-				return perr
-			}
-			paths[i] = p
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		paths[i] = p
 	}
 	return paths, nil
 }

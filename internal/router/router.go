@@ -45,10 +45,8 @@ type Options struct {
 	// keep programs small. Zero means one idle hold cycle per time-step.
 	RotationsPerStep int
 
-	// Workers bounds the concurrency of independent per-boundary path
-	// searches (DA target). <= 1 routes sequentially. Paths are pure
-	// functions of the schedule, so the routing result is byte-identical
-	// for every worker count.
+	// Workers is ignored: routing runs on the caller's goroutine. The
+	// field stays for callers that set it.
 	Workers int
 
 	// Obs records per-boundary spans and routing counters (retries,

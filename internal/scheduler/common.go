@@ -8,7 +8,6 @@ import (
 	"fppc/internal/arch"
 	"fppc/internal/dag"
 	"fppc/internal/obs"
-	"fppc/internal/pool"
 )
 
 // Opts configures a scheduling run beyond the assay and chip.
@@ -16,12 +15,8 @@ type Opts struct {
 	// Obs records list-scheduling iteration, deferred-op and eviction
 	// instrumentation (nil disables).
 	Obs *obs.Observer
-	// Workers bounds the concurrency of the scheduler's independent
-	// precomputation passes (priorities, depth ranks, expansion
-	// analysis, droplet enumeration): 1 runs them sequentially, 0 or
-	// less on GOMAXPROCS workers (pool.New). The main list-scheduling
-	// loop is inherently sequential either way, so the schedule is
-	// byte-identical for every worker count.
+	// Workers is ignored: scheduling runs on the caller's goroutine.
+	// The field stays for callers that set it.
 	Workers int
 }
 
@@ -160,32 +155,13 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 	if err != nil {
 		return nil, err
 	}
-	// The precomputation passes are independent pure functions of the
-	// (validated) assay; with Workers > 1 they run concurrently. Each
-	// writes only its own slot, so results are identical either way.
-	var (
-		es        *edgeSet
-		prio      []int
-		depth     []int
-		expansion []bool
-	)
-	passes := []func(){
-		func() { es = newEdgeSet(a) },
-		func() { prio = priorities(a, topo) },
-		func() { depth = asapFinish(a, topo) },
-		func() { expansion = expansionDispenses(a) },
-	}
-	_ = pool.New(opts.Workers).Do(nil, len(passes), func(i int) error {
-		passes[i]()
-		return nil
-	})
 	ob := opts.Obs
 	b := &base{
 		assay:       a,
 		chip:        chip,
 		pol:         pol,
-		es:          es,
-		prio:        prio,
+		es:          newEdgeSet(a),
+		prio:        priorities(a, topo),
 		ops:         make([]BoundOp, a.Len()),
 		started:     make([]bool, a.Len()),
 		done:        make([]bool, a.Len()),
@@ -255,7 +231,7 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 		// instead of its width — which is what lets Protein Split 3 run
 		// with ~6 stored droplets (paper section 5.2) rather than one per
 		// branch. Ties break by node id for determinism.
-		sortByDepthDesc(b.order, depth)
+		sortByDepthDesc(b.order, asapFinish(a, topo))
 	} else {
 		// Classic list scheduling: longest remaining duration path first.
 		sortByDepthDesc(b.order, b.prio)
@@ -312,7 +288,7 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 			b.jitOK[i] = b.gateLeft[i] == 0
 		}
 	}
-	b.expansion = expansion
+	b.expansion = expansionDispenses(a)
 	b.expansionSplit = make([]int, a.Len())
 	b.splitInFlight = make([]int, a.Len())
 	for i := range b.expansionSplit {

@@ -64,11 +64,9 @@ import (
 type Config struct {
 	// Workers bounds concurrent compilations (default: GOMAXPROCS).
 	Workers int
-	// CompileWorkers bounds the intra-compile concurrency each request
-	// may use (core.Config.Workers): the scheduler's precompute passes
-	// run on that many workers, GOMAXPROCS when 0, and the DA router's
-	// path searches fan out only above 1. Artifacts are byte-identical
-	// for every value.
+	// CompileWorkers is ignored: each compile runs on the goroutine of
+	// the request that holds its Workers slot. The field stays for
+	// callers that set it.
 	CompileWorkers int
 	// CacheEntries bounds the compile cache (default 256).
 	CacheEntries int
@@ -602,7 +600,6 @@ func (s *Server) runCompile(ctx context.Context, j *job, rec *journal.Entry) (*e
 	cfg := j.cfg
 	cfg.Obs = reqOb
 	cfg.Router.Telemetry = tc
-	cfg.Workers = s.cfg.CompileWorkers
 	t0 := time.Now()
 	res, err := core.CompileContext(ctx, canon, cfg)
 	s.hCompile.Observe(time.Since(t0).Seconds())
@@ -694,11 +691,9 @@ func classifyCompileError(err error) (int, string) {
 
 // TargetCapabilities is the wire form of a target's capability flags.
 type TargetCapabilities struct {
-	PinProgram            bool `json:"pin_program"`
-	TelemetryWear         bool `json:"telemetry_wear"`
-	DynamicFaultDetection bool `json:"dynamic_fault_detection"`
-	AutoGrow              bool `json:"auto_grow"`
-	FixedPortCapacity     bool `json:"fixed_port_capacity"`
+	PinProgram        bool `json:"pin_program"`
+	AutoGrow          bool `json:"auto_grow"`
+	FixedPortCapacity bool `json:"fixed_port_capacity"`
 }
 
 // TargetInfo describes one registered architecture target: its wire
@@ -727,11 +722,9 @@ func listTargets() TargetsResponse {
 			Name:        spec.Name,
 			Description: spec.Description,
 			Capabilities: TargetCapabilities{
-				PinProgram:            spec.Capabilities.PinProgram,
-				TelemetryWear:         spec.Capabilities.TelemetryWear,
-				DynamicFaultDetection: spec.Capabilities.DynamicFaultDetection,
-				AutoGrow:              spec.Capabilities.AutoGrow,
-				FixedPortCapacity:     spec.Capabilities.FixedPortCapacity,
+				PinProgram:        spec.Capabilities.PinProgram,
+				AutoGrow:          spec.Capabilities.AutoGrow,
+				FixedPortCapacity: spec.Capabilities.FixedPortCapacity,
 			},
 		}
 		if chip, err := spec.NewChip(spec.DefaultDims(core.Config{})); err == nil {
